@@ -1,22 +1,19 @@
-//! Planner overhead benchmark: the engine's request → plan → execute
-//! pipeline versus the legacy direct entry point on repeated exact
-//! queries, plus a direct measurement of bare plan construction.
+//! Planner overhead benchmark: the engine's auto-planned request →
+//! plan → execute pipeline versus the same queries under a forced
+//! exact-tree strategy (which skips the planner's probe), plus a direct
+//! measurement of bare plan construction.
 //!
-//! Two claims are asserted:
-//! 1. bare `Engine::plan` construction costs **< 1%** of the evaluation
-//!    it steers (the planner's probes are cached alongside the results),
-//! 2. the engine's end-to-end wall-clock stays within noise of the
-//!    legacy `evaluate_with_cache` path it wraps.
+//! The answers are first checked against the un-memoized
+//! `reference::exact_tree_pc` oracle. One claim is asserted: bare
+//! `Engine::plan` construction costs **< 1%** of the evaluation it
+//! steers (the planner's probes are cached alongside the results).
 //!
 //! Run with `cargo bench -p pfq-bench --bench planner_overhead`; pass
 //! `-- --smoke` for the tiny CI configuration.
 
-// The deprecated entry point is the legacy baseline under measurement.
-#![allow(deprecated)]
-
 use pfq_bench::{fmt_duration, print_table, time_median};
-use pfq_core::exact_inflationary::{self, ExactBudget};
-use pfq_core::{DatalogQuery, Engine, EvalCache, EvalRequest, Event};
+use pfq_core::exact_inflationary::ExactBudget;
+use pfq_core::{reference, DatalogQuery, Engine, EvalRequest, Event, Strategy};
 use pfq_data::tuple;
 use pfq_num::Ratio;
 use pfq_workloads::sat::{theorem_4_1_pc, Cnf};
@@ -43,32 +40,36 @@ fn main() {
         .map(|q| EvalRequest::inflationary_pc(q, &input))
         .collect();
 
-    let legacy = |cache: &mut EvalCache| -> Vec<Ratio> {
-        queries
-            .iter()
-            .map(|q| exact_inflationary::evaluate_pc_with_cache(q, &input, budget, cache).unwrap())
-            .collect()
-    };
-    let engine_run = |engine: &mut Engine| -> Vec<Ratio> {
+    let forced: Vec<EvalRequest<'_>> = requests
+        .iter()
+        .map(|r| r.clone().with_strategy(Strategy::ExactTree))
+        .collect();
+    let engine_run = |engine: &mut Engine, requests: &[EvalRequest<'_>]| -> Vec<Ratio> {
         requests
             .iter()
             .map(|r| engine.run(r).unwrap().into_exact().unwrap())
             .collect()
     };
 
-    // Correctness first: the engine pipeline must reproduce the legacy
-    // answers bit for bit.
-    let via_engine = engine_run(&mut Engine::new());
-    let via_legacy = legacy(&mut EvalCache::default());
-    assert_eq!(via_engine, via_legacy, "engine and legacy answers diverged");
+    // Correctness first: the engine pipeline must reproduce the
+    // reference answers bit for bit.
+    let via_engine = engine_run(&mut Engine::new(), &requests);
+    let via_reference: Vec<Ratio> = queries
+        .iter()
+        .map(|q| reference::exact_tree_pc(q, &input, budget).unwrap())
+        .collect();
+    assert_eq!(
+        via_engine, via_reference,
+        "engine and reference answers diverged"
+    );
 
-    let t_legacy = time_median(runs, || legacy(&mut EvalCache::default()));
-    let t_engine = time_median(runs, || engine_run(&mut Engine::new()));
+    let t_forced = time_median(runs, || engine_run(&mut Engine::new(), &forced));
+    let t_engine = time_median(runs, || engine_run(&mut Engine::new(), &requests));
 
     // Bare plan construction on a warm engine — the steady state a
     // multi-query `.pfq` file sees after its first evaluation.
     let mut warm = Engine::new();
-    engine_run(&mut warm);
+    engine_run(&mut warm, &requests);
     let t_plans = time_median(runs, || {
         for _ in 0..plan_iters {
             for r in &requests {
@@ -84,17 +85,17 @@ fn main() {
             "Planner overhead (3-SAT n={n}, m={m}, {} queries)",
             queries.len()
         ),
-        &["path", "median wall-clock", "vs legacy"],
+        &["path", "median wall-clock", "vs forced"],
         &[
             vec![
-                "legacy evaluate_with_cache".into(),
-                fmt_duration(t_legacy),
+                "forced exact-tree (no probe)".into(),
+                fmt_duration(t_forced),
                 "1.00×".into(),
             ],
             vec![
                 "engine plan+execute".into(),
                 fmt_duration(t_engine),
-                format!("{:.2}×", t_engine.as_secs_f64() / t_legacy.as_secs_f64()),
+                format!("{:.2}×", t_engine.as_secs_f64() / t_forced.as_secs_f64()),
             ],
             vec![
                 "bare planning (all queries)".into(),

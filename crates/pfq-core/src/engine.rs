@@ -13,7 +13,7 @@
 //! ```
 //!
 //! * [`EvalRequest`] names the task (which query over which input) plus
-//!   budgets, seed, cache and solver overrides, built fluently.
+//!   budgets, seed and solver overrides, built fluently.
 //! * [`Planner`] analyzes the request — negation-freedom and §5.1
 //!   partitioning eligibility, chain/tree size probes against the
 //!   budgets, `auto_burn_in` wiring — and emits an explainable [`Plan`]
@@ -22,18 +22,19 @@
 //!   returns an [`EvalOutcome`]: the value, the plan actually taken,
 //!   the sampling report (if any), cache statistics and wall time.
 //!
-//! The legacy `evaluate*` free functions in the evaluator modules are
-//! thin wrappers over this engine; because the engine composes the same
-//! exact rational-arithmetic primitives (and the same `(seed, index)`
-//! keyed trial streams), the wrappers are bit-identical by construction
-//! — pinned by `tests/engine_differential.rs`.
+//! Each [`PlanAction`] has exactly one production path, always through
+//! the engine's cache. The `evaluate*` free functions in the evaluator
+//! modules are one-line conveniences over this engine (a forced strategy
+//! on a fresh engine). The un-memoized evaluators in
+//! [`crate::reference`] are never called from here; they are the
+//! independent oracles `tests/engine_differential.rs` compares the
+//! engine against.
 //!
 //! This is the same move safe-plan systems make for probabilistic
 //! queries (the Dalvi–Suciu dichotomy: take the cheap path exactly when
 //! the query is eligible for it), applied to this paper's
 //! exact/approximate/partitioned trichotomy.
 
-use crate::cache::CacheConfig;
 use crate::exact_inflationary::{self, ExactBudget};
 use crate::exact_noninflationary::{self, ChainBudget};
 use crate::sample_inflationary::{self, hoeffding_sample_count};
@@ -41,7 +42,7 @@ use crate::sampler::{SampleReport, SamplerConfig};
 use crate::{mixing_sampler, partition, CacheStats, CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
-use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo};
+use pfq_datalog::inflationary::enumerate_fixpoints_memo;
 use pfq_datalog::DatalogError;
 use pfq_markov::StationaryMethod;
 use pfq_num::Ratio;
@@ -138,8 +139,8 @@ impl Task<'_> {
 }
 
 /// The caller's strategy choice: [`Strategy::Auto`] lets the planner
-/// pick; everything else forces one evaluation path (the legacy entry
-/// points force their historical path, keeping them bit-identical).
+/// pick; everything else forces one evaluation path (the `evaluate*`
+/// conveniences force theirs, so they never probe).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Strategy {
     /// Let the planner choose by eligibility and budget probes.
@@ -190,7 +191,6 @@ pub struct EvalRequest<'a> {
     adaptive: bool,
     epsilon: f64,
     delta: f64,
-    cache_config: CacheConfig,
     method: StationaryMethod,
 }
 
@@ -206,7 +206,6 @@ impl<'a> EvalRequest<'a> {
             adaptive: true,
             epsilon: 0.05,
             delta: 0.05,
-            cache_config: CacheConfig::default(),
             method: StationaryMethod::default(),
         }
     }
@@ -279,13 +278,6 @@ impl<'a> EvalRequest<'a> {
     pub fn with_epsilon_delta(mut self, epsilon: f64, delta: f64) -> Self {
         self.epsilon = epsilon;
         self.delta = delta;
-        self
-    }
-
-    /// Routes exact evaluation through the legacy un-memoized reference
-    /// paths when disabled.
-    pub fn with_cache_config(mut self, config: CacheConfig) -> Self {
-        self.cache_config = config;
         self
     }
 
@@ -592,9 +584,8 @@ fn is_budget_error(e: &CoreError) -> bool {
 }
 
 impl Planner {
-    /// Plans `request`. Probes run through `cache` (when the request
-    /// enables caching), so exact work done while planning is reused by
-    /// the executor.
+    /// Plans `request`. Probes run through `cache`, so exact work done
+    /// while planning is reused by the executor.
     pub fn plan(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
         match request.strategy {
             Strategy::Auto => Self::auto(request, cache),
@@ -751,37 +742,23 @@ impl Planner {
                     .exact_budget
                     .node_budget
                     .unwrap_or(AUTO_NODE_CEILING);
-                let mut notes = Vec::new();
-                let probe = if cache.enabled() {
-                    enumerate_fixpoints_memo(
-                        &query.program,
-                        db,
-                        Some(probe_nodes),
-                        &mut cache.fixpoints,
-                    )
-                    .map(|_| ())
-                } else {
-                    notes.push("cache disabled: probe work is not reused".to_string());
-                    enumerate_fixpoints(&query.program, db, Some(probe_nodes)).map(|_| ())
-                };
+                let probe = enumerate_fixpoints_memo(
+                    &query.program,
+                    db,
+                    Some(probe_nodes),
+                    &mut cache.fixpoints,
+                );
                 match probe.map_err(CoreError::Datalog) {
-                    Ok(()) => {
-                        notes.push(format!(
+                    Ok(_) => Ok(Plan {
+                        task: TaskKind::Inflationary,
+                        action: PlanAction::ExactTree {
+                            budget: request.exact_budget,
+                        },
+                        notes: vec![format!(
                             "computation tree fits within the {probe_nodes}-node probe"
-                        ));
-                        Ok(Plan {
-                            task: TaskKind::Inflationary,
-                            action: PlanAction::ExactTree {
-                                budget: request.exact_budget,
-                            },
-                            notes,
-                        })
-                    }
+                        )],
+                    }),
                     Err(e) if is_budget_error(&e) => {
-                        notes.push(format!(
-                            "computation tree exceeds the {probe_nodes}-node probe; \
-                             falling back to Thm 4.3 sampling"
-                        ));
                         let worst_case = hoeffding_sample_count(request.epsilon, request.delta)?;
                         Ok(Plan {
                             task: TaskKind::Inflationary,
@@ -791,7 +768,10 @@ impl Planner {
                                 worst_case,
                                 seed: request.seed,
                             },
-                            notes,
+                            notes: vec![format!(
+                                "computation tree exceeds the {probe_nodes}-node probe; \
+                                 falling back to Thm 4.3 sampling"
+                            )],
                         })
                     }
                     Err(e) => Err(e),
@@ -877,18 +857,11 @@ impl Planner {
         mut notes: Vec<String>,
     ) -> Result<Plan, CoreError> {
         let kind = request.task.kind();
-        let probe = if cache.enabled() {
-            exact_noninflationary::build_chain_interned(fq, db, request.chain_budget, cache)
-                .map(|chain| chain.len())
-        } else {
-            notes.push("cache disabled: probe work is not reused".to_string());
-            exact_noninflationary::build_chain(fq, db, request.chain_budget)
-                .map(|chain| chain.len())
-        };
-        match probe {
-            Ok(states) => {
+        match exact_noninflationary::build_chain_interned(fq, db, request.chain_budget, cache) {
+            Ok(chain) => {
                 notes.push(format!(
-                    "explicit chain fits: {states} states (≤{} budget)",
+                    "explicit chain fits: {} states (≤{} budget)",
+                    chain.len(),
                     request.chain_budget.max_states
                 ));
                 Ok(Plan {
@@ -929,21 +902,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with a fresh enabled cache.
+    /// An engine with a fresh cache.
     pub fn new() -> Engine {
         Engine {
             cache: EvalCache::default(),
         }
-    }
-
-    /// An engine over an existing cache (e.g. pre-warmed).
-    pub fn with_cache(cache: EvalCache) -> Engine {
-        Engine { cache }
-    }
-
-    /// The engine's cache.
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
     }
 
     /// Cumulative cache statistics.
@@ -955,28 +918,14 @@ impl Engine {
     /// point). Probes warm the engine's cache, so a following
     /// [`Engine::run`] reuses their work.
     pub fn plan(&mut self, request: &EvalRequest<'_>) -> Result<Plan, CoreError> {
-        if request.cache_config.enabled {
-            Planner::plan(request, &mut self.cache)
-        } else {
-            Planner::plan(request, &mut EvalCache::new(CacheConfig::disabled()))
-        }
+        Planner::plan(request, &mut self.cache)
     }
 
     /// Plans and executes `request`.
     pub fn run(&mut self, request: &EvalRequest<'_>) -> Result<EvalOutcome, CoreError> {
         let start = Instant::now();
-        let (plan, value, report) = if request.cache_config.enabled {
-            let plan = Planner::plan(request, &mut self.cache)?;
-            let (value, report) = execute_action(request, &plan, &mut self.cache)?;
-            (plan, value, report)
-        } else {
-            // A disabled cache routes through the legacy reference
-            // paths; scratch state never touches the engine's cache.
-            let mut scratch = EvalCache::new(CacheConfig::disabled());
-            let plan = Planner::plan(request, &mut scratch)?;
-            let (value, report) = execute_action(request, &plan, &mut scratch)?;
-            (plan, value, report)
-        };
+        let plan = Planner::plan(request, &mut self.cache)?;
+        let (value, report) = execute_action(request, &plan, &mut self.cache)?;
         Ok(EvalOutcome {
             value,
             plan,
@@ -994,11 +943,7 @@ impl Engine {
         plan: &Plan,
     ) -> Result<EvalOutcome, CoreError> {
         let start = Instant::now();
-        let (value, report) = if request.cache_config.enabled {
-            execute_action(request, plan, &mut self.cache)?
-        } else {
-            execute_action(request, plan, &mut EvalCache::new(CacheConfig::disabled()))?
-        };
+        let (value, report) = execute_action(request, plan, &mut self.cache)?;
         Ok(EvalOutcome {
             value,
             plan: plan.clone(),
@@ -1015,9 +960,8 @@ impl Default for Engine {
     }
 }
 
-/// Executes one plan action over the given cache. Every arm delegates to
-/// the same primitive the corresponding legacy entry point uses, which
-/// is what makes the legacy wrappers bit-identical by construction.
+/// Executes one plan action over the given cache: each arm is the one
+/// production path for its action.
 fn execute_action(
     request: &EvalRequest<'_>,
     plan: &Plan,
@@ -1026,11 +970,11 @@ fn execute_action(
     let config = request.sampler_config();
     match (&plan.action, &request.task) {
         (PlanAction::ExactTree { budget }, Task::Inflationary { query, db }) => {
-            let p = exact_inflationary::eval_with_cache_impl(query, db, *budget, cache)?;
+            let p = exact_inflationary::eval_with_cache(query, db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::ExactTree { budget }, Task::InflationaryPc { query, input }) => {
-            let p = exact_inflationary::eval_pc_with_cache_impl(query, input, *budget, cache)?;
+            let p = exact_inflationary::eval_pc_with_cache(query, input, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::SampleFixpoint { epsilon, delta, .. }, Task::Inflationary { query, db }) => {
@@ -1049,13 +993,13 @@ fn execute_action(
         }
         (PlanAction::ExactChain { budget, method }, Task::Noninflationary { query, db }) => {
             let (fq, prepared) = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-            let p = exact_noninflationary::eval_with_cache_and_method_impl(
+            let p = exact_noninflationary::eval_with_cache_and_method(
                 &fq, &prepared, *budget, cache, *method,
             )?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::ExactChain { budget, method }, Task::Forever { query, db }) => {
-            let p = exact_noninflationary::eval_with_cache_and_method_impl(
+            let p = exact_noninflationary::eval_with_cache_and_method(
                 query, db, *budget, cache, *method,
             )?;
             Ok((EvalValue::Exact(p), None))
@@ -1340,23 +1284,6 @@ mod tests {
              \x20 notes:\n\
              \x20   - explicit chain fits: 3 states (≤100000 budget)"
         );
-    }
-
-    #[test]
-    fn disabled_cache_stays_empty() {
-        let query = fork_query("w");
-        let db = fork_db();
-        let mut engine = Engine::new();
-        let outcome = engine
-            .run(&EvalRequest::inflationary(&query, &db).with_cache_config(CacheConfig::disabled()))
-            .unwrap();
-        assert_eq!(outcome.value, EvalValue::Exact(Ratio::new(1, 2)));
-        assert_eq!(outcome.stats, CacheStats::default());
-        assert!(outcome
-            .plan
-            .notes
-            .iter()
-            .any(|n| n.contains("cache disabled")));
     }
 
     #[test]

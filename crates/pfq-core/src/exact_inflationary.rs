@@ -11,7 +11,7 @@ use crate::engine::{Engine, EvalRequest, Strategy};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
-use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo};
+use pfq_datalog::inflationary::enumerate_fixpoints_memo;
 use pfq_num::Ratio;
 
 /// Resource limits for exact evaluation; both default to unbounded.
@@ -25,8 +25,8 @@ pub struct ExactBudget {
 
 /// Computes the exact probability of the query event over a certain
 /// (non-probabilistic) input database. Thin wrapper over
-/// [`crate::engine`] with a forced [`Strategy::ExactTree`] plan — a
-/// fresh engine means a fresh private cache, exactly as before.
+/// [`crate::engine`] with a forced [`Strategy::ExactTree`] plan on a
+/// fresh engine (hence a fresh private cache).
 ///
 /// [`Strategy::ExactTree`]: crate::engine::Strategy::ExactTree
 pub fn evaluate(
@@ -43,34 +43,17 @@ pub fn evaluate(
         .into_exact()
 }
 
-/// Like [`evaluate`], but threads an explicit [`EvalCache`]: repeated
-/// queries over the same program and database are served from the
-/// whole-tree result memo, and distinct inputs still share interned
-/// states and successor rows. A disabled cache routes through the legacy
-/// un-memoized [`enumerate_fixpoints`] reference path.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_cache(
-    query: &DatalogQuery,
-    db: &Database,
-    budget: ExactBudget,
-    cache: &mut EvalCache,
-) -> Result<Ratio, CoreError> {
-    eval_with_cache_impl(query, db, budget, cache)
-}
-
 /// The Prop. 4.4 primitive the engine executes: exact traversal through
-/// an explicit cache (memoized when enabled, the legacy reference path
-/// when disabled).
-pub(crate) fn eval_with_cache_impl(
+/// the cache's [`FixpointMemo`](pfq_datalog::inflationary::FixpointMemo),
+/// so repeated queries over the same program and database are served
+/// from the whole-tree result memo and distinct inputs still share
+/// interned states and successor rows.
+pub(crate) fn eval_with_cache(
     query: &DatalogQuery,
     db: &Database,
     budget: ExactBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    if !cache.enabled() {
-        let fixpoints = enumerate_fixpoints(&query.program, db, budget.node_budget)?;
-        return Ok(fixpoints.probability_that(|db| query.event.holds(db)));
-    }
     let fixpoints =
         enumerate_fixpoints_memo(&query.program, db, budget.node_budget, &mut cache.fixpoints)?;
     Ok(fixpoints.probability_that(|db| query.event.holds(db)))
@@ -79,7 +62,7 @@ pub(crate) fn eval_with_cache_impl(
 /// Computes the exact probability of the query event over a probabilistic
 /// c-table input: `Σ_worlds Pr(world) · Pr(event | world)`. Thin wrapper
 /// over [`crate::engine`] with a forced exact-tree plan; the fresh
-/// engine's cache is shared across the worlds, exactly as before.
+/// engine's cache is shared across the worlds.
 pub fn evaluate_pc(
     query: &DatalogQuery,
     input: &PcDatabase,
@@ -94,27 +77,28 @@ pub fn evaluate_pc(
         .into_exact()
 }
 
-/// Like [`evaluate_pc`], but threads one [`EvalCache`] through every
-/// possible world of the pc-table, so worlds reuse each other's interned
-/// states and transition rows — §3.2 worlds differ in a handful of input
+/// The §3.2 possible-worlds primitive the engine executes: one cache is
+/// threaded through every world, so worlds reuse each other's interned
+/// states and transition rows — worlds differ in a handful of input
 /// tuples, leaving most of the computation tree shared.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_pc_with_cache(
+pub(crate) fn eval_pc_with_cache(
     query: &DatalogQuery,
     input: &PcDatabase,
     budget: ExactBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    eval_pc_with_cache_impl(query, input, budget, cache)
+    mix_worlds(input, budget, |world| {
+        eval_with_cache(query, world, budget, cache)
+    })
 }
 
-/// The §3.2 possible-worlds primitive the engine executes: enumerate the
-/// pc-table's worlds and mix the per-world exact results.
-pub(crate) fn eval_pc_with_cache_impl(
-    query: &DatalogQuery,
+/// Enumerates the pc-table's possible worlds (refusing more than the
+/// world budget) and mixes the per-world exact results:
+/// `Σ_worlds Pr(world) · conditional(world)`.
+pub(crate) fn mix_worlds(
     input: &PcDatabase,
     budget: ExactBudget,
-    cache: &mut EvalCache,
+    mut conditional: impl FnMut(&Database) -> Result<Ratio, CoreError>,
 ) -> Result<Ratio, CoreError> {
     let worlds = input.enumerate_worlds()?;
     if let Some(limit) = budget.world_budget {
@@ -127,17 +111,15 @@ pub(crate) fn eval_pc_with_cache_impl(
     }
     let mut total = Ratio::zero();
     for (world, p) in worlds.iter() {
-        let conditional = eval_with_cache_impl(query, world, budget, cache)?;
-        total = total.add_ref(&p.mul_ref(&conditional));
+        total = total.add_ref(&p.mul_ref(&conditional(world)?));
     }
     Ok(total)
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated wrappers are deliberately pinned here
 mod tests {
     use super::*;
-    use crate::Event;
+    use crate::{reference, Event};
     use pfq_ctable::{Condition, PcTable, RandomVariable};
     use pfq_data::{tuple, Relation, Schema, Value};
 
@@ -281,20 +263,23 @@ mod tests {
         assert!(evaluate(&reach_query("w"), &fork_db(), budget).is_err());
     }
 
+    /// Runs a forced exact-tree request on `engine`.
+    fn exact_tree(engine: &mut Engine, query: &DatalogQuery, db: &Database) -> Ratio {
+        let request = EvalRequest::inflationary(query, db).with_strategy(Strategy::ExactTree);
+        engine.run(&request).unwrap().into_exact().unwrap()
+    }
+
     #[test]
-    fn cached_and_disabled_paths_agree() {
+    fn engine_and_reference_agree() {
         let db = fork_db();
-        let mut shared = EvalCache::default();
-        let mut off = EvalCache::new(crate::CacheConfig::disabled());
+        let mut engine = Engine::new();
         for target in ["w", "v", "u", "nowhere"] {
             let q = reach_query(target);
-            let a = evaluate_with_cache(&q, &db, ExactBudget::default(), &mut shared).unwrap();
-            let b = evaluate_with_cache(&q, &db, ExactBudget::default(), &mut off).unwrap();
+            let a = exact_tree(&mut engine, &q, &db);
+            let b = reference::exact_tree(&q, &db, ExactBudget::default()).unwrap();
             assert_eq!(a, b);
         }
-        assert!(shared.stats().engine_states > 0);
-        // A disabled cache never accumulates anything.
-        assert_eq!(off.stats(), crate::CacheStats::default());
+        assert!(engine.stats().engine_states > 0);
     }
 
     #[test]
@@ -302,14 +287,14 @@ mod tests {
         // Same program over the same database: only the event differs,
         // so the second query is a whole-tree memo hit.
         let db = fork_db();
-        let mut cache = EvalCache::default();
-        evaluate_with_cache(&reach_query("w"), &db, ExactBudget::default(), &mut cache).unwrap();
-        assert_eq!(cache.stats().result_hits, 0);
-        let p = evaluate_with_cache(&reach_query("u"), &db, ExactBudget::default(), &mut cache)
-            .unwrap();
+        let mut engine = Engine::new();
+        let (qw, qu) = (reach_query("w"), reach_query("u"));
+        exact_tree(&mut engine, &qw, &db);
+        assert_eq!(engine.stats().result_hits, 0);
+        let p = exact_tree(&mut engine, &qu, &db);
         assert_eq!(p, Ratio::new(1, 2));
-        assert_eq!(cache.stats().result_hits, 1);
-        assert_eq!(cache.stats().result_misses, 1);
+        assert_eq!(engine.stats().result_hits, 1);
+        assert_eq!(engine.stats().result_misses, 1);
     }
 
     #[test]
@@ -323,16 +308,21 @@ mod tests {
             PcTable::new(Schema::new(["i", "j", "p"]))
                 .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
         );
-        let mut cache = EvalCache::default();
+        let mut engine = Engine::new();
         let q = reach_query("w");
-        let p = evaluate_pc_with_cache(&q, &input, ExactBudget::default(), &mut cache).unwrap();
+        let request = EvalRequest::inflationary_pc(&q, &input).with_strategy(Strategy::ExactTree);
+        let p = engine.run(&request).unwrap().into_exact().unwrap();
         assert_eq!(p, Ratio::new(1, 2));
+        assert_eq!(
+            p,
+            reference::exact_tree_pc(&q, &input, ExactBudget::default()).unwrap()
+        );
         // Two worlds were enumerated cold …
-        assert_eq!(cache.stats().result_misses, 2);
+        assert_eq!(engine.stats().result_misses, 2);
         // … and a repeat of the whole pc query is served from the memo.
-        let p2 = evaluate_pc_with_cache(&q, &input, ExactBudget::default(), &mut cache).unwrap();
+        let p2 = engine.run(&request).unwrap().into_exact().unwrap();
         assert_eq!(p2, p);
-        assert_eq!(cache.stats().result_hits, 2);
-        assert_eq!(cache.stats().result_misses, 2);
+        assert_eq!(engine.stats().result_hits, 2);
+        assert_eq!(engine.stats().result_misses, 2);
     }
 }

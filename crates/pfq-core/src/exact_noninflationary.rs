@@ -38,11 +38,10 @@ impl Default for ChainBudget {
 }
 
 /// Builds the explicit Markov chain over database instances reachable
-/// from `db` under the query's kernel.
-///
-/// This is the legacy path keying the chain on whole `Database` values
-/// (every dedup an `O(|db|)` comparison); [`build_chain_interned`] runs
-/// the same exploration over dense [`StateId`]s.
+/// from `db` under the query's kernel, keyed on whole `Database` values
+/// (every dedup an `O(|db|)` comparison). Convenient for analysing a
+/// chain's states directly; the engine runs the same exploration over
+/// dense [`StateId`]s with [`build_chain_interned`].
 pub fn build_chain(
     query: &ForeverQuery,
     db: &Database,
@@ -122,84 +121,41 @@ pub fn evaluate(
         .into_exact()
 }
 
-/// [`evaluate`] with an explicit choice of exact linear-algebra backend
-/// for the long-run solve — sparse GTH by default everywhere, the dense
-/// reference for differential testing and A/B timing. Both methods
-/// return bit-identical `Ratio` results.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_method(
-    query: &ForeverQuery,
-    db: &Database,
-    budget: ChainBudget,
-    method: StationaryMethod,
-) -> Result<Ratio, CoreError> {
-    eval_with_cache_and_method_impl(query, db, budget, &mut EvalCache::default(), method)
-}
-
-/// Like [`evaluate`], but threads an explicit [`EvalCache`]: the chain
-/// is explored over interned states and kernel rows are shared across
-/// evaluations. A disabled cache routes through the legacy
-/// [`build_chain`] reference path.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_cache(
-    query: &ForeverQuery,
-    db: &Database,
-    budget: ChainBudget,
-    cache: &mut EvalCache,
-) -> Result<Ratio, CoreError> {
-    eval_with_cache_and_method_impl(query, db, budget, cache, StationaryMethod::default())
-}
-
-/// The fully explicit entry point: caching *and* stationary-method
-/// control.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_cache_and_method(
+/// The Thm. 5.5 primitive the engine executes: build the interned
+/// explicit chain, solve the long-run distribution with the chosen
+/// backend, and sum the event states' mass.
+pub(crate) fn eval_with_cache_and_method(
     query: &ForeverQuery,
     db: &Database,
     budget: ChainBudget,
     cache: &mut EvalCache,
     method: StationaryMethod,
 ) -> Result<Ratio, CoreError> {
-    eval_with_cache_and_method_impl(query, db, budget, cache, method)
-}
-
-/// The Thm. 5.5 primitive the engine executes: build the (interned or
-/// legacy) explicit chain, solve the long-run distribution with the
-/// chosen backend, and sum the event states' mass.
-pub(crate) fn eval_with_cache_and_method_impl(
-    query: &ForeverQuery,
-    db: &Database,
-    budget: ChainBudget,
-    cache: &mut EvalCache,
-    method: StationaryMethod,
-) -> Result<Ratio, CoreError> {
-    if !cache.enabled() {
-        let chain = build_chain(query, db, budget)?;
-        let start = chain.index_of(db).expect("start state was interned");
-        let long_run = long_run_distribution_with(&chain, start, method)?;
-        let mut total = Ratio::zero();
-        for (i, p) in long_run.iter().enumerate() {
-            if !p.is_zero() && query.event.holds(chain.state(i)) {
-                total = total.add_ref(p);
-            }
-        }
-        return Ok(total);
-    }
     let chain = build_chain_interned(query, db, budget, cache)?;
     let start_id = cache
         .chain
         .store
         .lookup(db)
         .expect("start state was interned");
-    let start = chain.index_of(&start_id).expect("start state in chain");
-    let long_run = long_run_distribution_with(&chain, start, method)?;
+    let store = &cache.chain.store;
+    event_mass(&chain, &start_id, method, |&sid| {
+        query.event.holds(store.resolve(sid))
+    })
+}
+
+/// The long-run probability, from `start`, of the chain states on which
+/// `holds` is true.
+pub(crate) fn event_mass<S: Ord + Clone>(
+    chain: &MarkovChain<S>,
+    start: &S,
+    method: StationaryMethod,
+    holds: impl Fn(&S) -> bool,
+) -> Result<Ratio, CoreError> {
+    let start = chain.index_of(start).expect("start state in chain");
+    let long_run = long_run_distribution_with(chain, start, method)?;
     let mut total = Ratio::zero();
     for (i, p) in long_run.iter().enumerate() {
-        if !p.is_zero()
-            && query
-                .event
-                .holds(cache.chain.store.resolve(*chain.state(i)))
-        {
+        if !p.is_zero() && holds(chain.state(i)) {
             total = total.add_ref(p);
         }
     }
@@ -207,10 +163,9 @@ pub(crate) fn eval_with_cache_and_method_impl(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated wrappers are deliberately pinned here
 mod tests {
     use super::*;
-    use crate::Event;
+    use crate::{reference, Event};
     use pfq_algebra::{Expr, Interpretation};
     use pfq_data::{tuple, Relation, Schema, Value};
     use pfq_num::Ratio;
@@ -348,17 +303,31 @@ mod tests {
         assert!(evaluate(&q, &db, ChainBudget::default()).unwrap().is_one());
     }
 
+    /// A forced exact-chain request under the given solver.
+    fn exact_chain<'a>(
+        q: &'a ForeverQuery,
+        db: &'a Database,
+        method: StationaryMethod,
+    ) -> EvalRequest<'a> {
+        EvalRequest::forever(q, db)
+            .with_strategy(Strategy::ExactChain)
+            .with_stationary_method(method)
+    }
+
     #[test]
-    fn cached_and_disabled_paths_agree() {
+    fn engine_and_reference_agree() {
+        let mut engine = Engine::new();
         for target in [1, 2, 3, 99] {
             let (q, db) = walk_query(target);
-            let mut on = EvalCache::default();
-            let mut off = EvalCache::new(crate::CacheConfig::disabled());
+            let method = StationaryMethod::default();
             assert_eq!(
-                evaluate_with_cache(&q, &db, ChainBudget::default(), &mut on).unwrap(),
-                evaluate_with_cache(&q, &db, ChainBudget::default(), &mut off).unwrap(),
+                engine
+                    .run(&exact_chain(&q, &db, method))
+                    .unwrap()
+                    .into_exact()
+                    .unwrap(),
+                reference::exact_chain(&q, &db, ChainBudget::default(), method).unwrap(),
             );
-            assert_eq!(off.stats(), crate::CacheStats::default());
         }
     }
 
@@ -386,34 +355,36 @@ mod tests {
     fn stationary_methods_agree_end_to_end() {
         for target in [1, 2, 3, 99] {
             let (q, db) = walk_query(target);
-            assert_eq!(
-                evaluate_with_method(
-                    &q,
-                    &db,
-                    ChainBudget::default(),
-                    StationaryMethod::DenseReference
-                )
-                .unwrap(),
-                evaluate_with_method(&q, &db, ChainBudget::default(), StationaryMethod::SparseGth)
-                    .unwrap(),
-            );
+            let [dense, sparse] = [
+                StationaryMethod::DenseReference,
+                StationaryMethod::SparseGth,
+            ]
+            .map(|method| {
+                Engine::new()
+                    .run(&exact_chain(&q, &db, method))
+                    .unwrap()
+                    .into_exact()
+                    .unwrap()
+            });
+            assert_eq!(dense, sparse);
         }
     }
 
     #[test]
     fn kernel_rows_are_reused_across_evaluations() {
         let (q1, db) = walk_query(1);
-        let mut cache = EvalCache::default();
-        evaluate_with_cache(&q1, &db, ChainBudget::default(), &mut cache).unwrap();
-        let cold = cache.stats();
+        let method = StationaryMethod::default();
+        let mut engine = Engine::new();
+        engine.run(&exact_chain(&q1, &db, method)).unwrap();
+        let cold = engine.stats();
         assert_eq!(cold.kernel_hits, 0);
         assert_eq!(cold.kernel_misses, 3);
         assert_eq!(cold.db_states, 3);
         // Same kernel, different event: every row is served from the memo.
         let (q2, _) = walk_query(2);
-        let p = evaluate_with_cache(&q2, &db, ChainBudget::default(), &mut cache).unwrap();
-        assert_eq!(p, Ratio::new(1, 4));
-        let warm = cache.stats();
+        let outcome = engine.run(&exact_chain(&q2, &db, method)).unwrap();
+        assert_eq!(outcome.into_exact().unwrap(), Ratio::new(1, 4));
+        let warm = engine.stats();
         assert_eq!(warm.kernel_hits, 3);
         assert_eq!(warm.kernel_misses, 3);
         assert_eq!(warm.db_states, 3);

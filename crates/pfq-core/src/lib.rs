@@ -32,10 +32,13 @@
 //! [`EvalRequest`] names the task and the knobs, the [`engine::Planner`]
 //! analyzes eligibility (negation-freedom, §5.1 partitioning, budget
 //! probes) and emits an explainable [`Plan`], and the [`Engine`]
-//! executes it. The per-module `evaluate*` free functions are thin
-//! wrappers over the engine kept for API stability; the combinatorial
-//! `*_with_cache`/`*_with_method` entry points are deprecated in its
-//! favor.
+//! executes it, with exactly one production path per plan action. The
+//! per-module `evaluate*` free functions are one-line conveniences over
+//! the engine.
+//!
+//! The un-memoized exact evaluators live apart, in [`reference`](mod@reference): they
+//! are never called by the engine and serve as independent oracles for
+//! the tests, the fuzzer and the benches.
 
 pub mod cache;
 pub mod engine;
@@ -46,10 +49,11 @@ pub mod exact_noninflationary;
 pub mod mixing_sampler;
 pub mod partition;
 pub mod query;
+pub mod reference;
 pub mod sample_inflationary;
 pub mod sampler;
 
-pub use cache::{CacheConfig, CacheStats, EvalCache};
+pub use cache::{CacheStats, EvalCache};
 pub use engine::{
     Engine, EvalOutcome, EvalRequest, EvalValue, Plan, PlanAction, Strategy, Task, TaskKind,
 };

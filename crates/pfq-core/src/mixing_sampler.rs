@@ -13,10 +13,10 @@
 //! true mixing time on a budgeted chain for experiment calibration.
 
 use crate::engine::{Engine, EvalRequest, Strategy};
-use crate::exact_noninflationary::{build_chain, ChainBudget};
-use crate::sample_inflationary::{hoeffding_sample_count, SampleEstimate};
+use crate::exact_noninflationary::{build_chain_interned, ChainBudget};
+use crate::sample_inflationary::hoeffding_sample_count;
 use crate::sampler::{self, SampleReport, SamplerConfig};
-use crate::{CoreError, ForeverQuery};
+use crate::{CoreError, EvalCache, ForeverQuery};
 use pfq_data::Database;
 use pfq_markov::mixing::mixing_time_exact;
 use pfq_num::Ratio;
@@ -69,7 +69,7 @@ pub fn evaluate_with_burn_in<R: Rng + ?Sized>(
     epsilon: f64,
     delta: f64,
     rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
+) -> Result<SampleReport, CoreError> {
     // Validate (ε, δ) before consuming the caller's rng, as before.
     hoeffding_sample_count(epsilon, delta)?;
     let outcome = Engine::new().run(
@@ -81,7 +81,7 @@ pub fn evaluate_with_burn_in<R: Rng + ?Sized>(
             .with_seed(rng.gen())
             .with_adaptive(false),
     )?;
-    Ok(outcome.into_report()?.into())
+    outcome.into_report()
 }
 
 /// Estimates the query probability from a *single* long walk's time
@@ -116,7 +116,9 @@ pub fn evaluate_time_average<R: Rng + ?Sized>(
 /// The tolerance is converted to the *exact* rational value of the given
 /// `f64` and the mixing time computed per §2.3's `TV ≤ ε` in [`Ratio`]
 /// ([`mixing_time_exact`]), so a chain whose TV hits `ε_mix` exactly at
-/// step `t` yields burn-in `t`, not `t + 1`.
+/// step `t` yields burn-in `t`, not `t + 1`. The chain is explored over
+/// interned states in a scratch cache; `t` is a maximum over all start
+/// states, so the state labelling cannot change it.
 pub fn auto_burn_in(
     query: &ForeverQuery,
     db: &Database,
@@ -126,7 +128,7 @@ pub fn auto_burn_in(
 ) -> Result<Option<usize>, CoreError> {
     let eps = Ratio::from_f64(epsilon_mix)
         .ok_or_else(|| CoreError::BadParameter("epsilon_mix must be finite".into()))?;
-    let chain = build_chain(query, db, budget)?;
+    let chain = build_chain_interned(query, db, budget, &mut EvalCache::default())?;
     Ok(mixing_time_exact(&chain, &eps, max_t))
 }
 

@@ -138,7 +138,6 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
         )));
     }
     let prepared = prepare_database(program, db)?;
-    let idb: BTreeSet<&str> = program.idb_relations();
 
     // Assign base ids to EDB tuples (and any pre-populated IDB tuples,
     // which also count as inputs).
@@ -207,17 +206,11 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
     let empty_template = {
         let mut t = Database::new();
         for (name, rel) in prepared.iter() {
-            let keep_empty = idb.contains(name);
-            let _ = keep_empty;
             t.declare(name, rel.schema().clone());
         }
         t
     };
     for (id, (name, tuple)) in base.iter().enumerate() {
-        if idb.contains(name.as_str()) {
-            // Pre-populated IDB tuples stay with their class like any
-            // other base tuple.
-        }
         let root = uf.find(id);
         let class_idx = *class_of_root.entry(root).or_insert_with(|| {
             classes.push(empty_template.clone());
@@ -269,7 +262,7 @@ pub fn evaluate_partitioned_with(
     let mut p_not = Ratio::one();
     for class_db in &classes {
         let (fq, prepared) = query.to_forever_query(class_db)?;
-        let p = exact_noninflationary::eval_with_cache_and_method_impl(
+        let p = exact_noninflationary::eval_with_cache_and_method(
             &fq, &prepared, budget, cache, method,
         )?;
         p_not = p_not.mul_ref(&Ratio::one().sub_ref(&p));
@@ -384,7 +377,7 @@ mod tests {
             let db = coin_db();
             let direct_dense = {
                 let (fq, prepared) = query.to_forever_query(&db).unwrap();
-                exact_noninflationary::eval_with_cache_and_method_impl(
+                exact_noninflationary::eval_with_cache_and_method(
                     &fq,
                     &prepared,
                     ChainBudget::default(),

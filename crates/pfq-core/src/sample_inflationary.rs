@@ -43,24 +43,6 @@ pub fn hoeffding_sample_count(epsilon: f64, delta: f64) -> Result<usize, CoreErr
     Ok(((2.0 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize)
 }
 
-/// The result of a sampling run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SampleEstimate {
-    /// The estimated event probability.
-    pub estimate: f64,
-    /// How many samples were drawn.
-    pub samples: usize,
-}
-
-impl From<SampleReport> for SampleEstimate {
-    fn from(report: SampleReport) -> Self {
-        SampleEstimate {
-            estimate: report.estimate,
-            samples: report.samples,
-        }
-    }
-}
-
 /// One Theorem 4.3 trial over a certain input: a random computation
 /// path to its fixpoint, then the event test.
 fn trial(query: &DatalogQuery, db: &Database, rng: &mut ChaCha8Rng) -> Result<bool, CoreError> {
@@ -124,9 +106,9 @@ pub fn evaluate_with_samples<R: Rng + ?Sized>(
     db: &Database,
     samples: usize,
     rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
+) -> Result<SampleReport, CoreError> {
     let config = SamplerConfig::seeded(rng.gen());
-    Ok(evaluate_with_samples_config(query, db, samples, &config)?.into())
+    evaluate_with_samples_config(query, db, samples, &config)
 }
 
 /// Theorem 4.3 over a certain input: absolute `(ε, δ)`-approximation.
@@ -144,7 +126,7 @@ pub fn evaluate<R: Rng + ?Sized>(
     epsilon: f64,
     delta: f64,
     rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
+) -> Result<SampleReport, CoreError> {
     // Validate (ε, δ) before consuming the caller's rng, as before.
     hoeffding_sample_count(epsilon, delta)?;
     let outcome = Engine::new().run(
@@ -154,7 +136,7 @@ pub fn evaluate<R: Rng + ?Sized>(
             .with_seed(rng.gen())
             .with_adaptive(false),
     )?;
-    Ok(outcome.into_report()?.into())
+    outcome.into_report()
 }
 
 /// Theorem 4.3 over a probabilistic c-table input. Thin wrapper over
@@ -165,7 +147,7 @@ pub fn evaluate_pc<R: Rng + ?Sized>(
     epsilon: f64,
     delta: f64,
     rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
+) -> Result<SampleReport, CoreError> {
     hoeffding_sample_count(epsilon, delta)?;
     let outcome = Engine::new().run(
         &EvalRequest::inflationary_pc(query, input)
@@ -174,7 +156,7 @@ pub fn evaluate_pc<R: Rng + ?Sized>(
             .with_seed(rng.gen())
             .with_adaptive(false),
     )?;
-    Ok(outcome.into_report()?.into())
+    outcome.into_report()
 }
 
 #[cfg(test)]

@@ -26,8 +26,8 @@ use pfq_core::exact_inflationary::ExactBudget;
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
 use pfq_core::{
-    mixing_sampler, partition, sample_inflationary, DatalogQuery, Engine, EvalRequest,
-    StationaryMethod, Strategy,
+    mixing_sampler, partition, reference, sample_inflationary, CoreError, DatalogQuery, Engine,
+    EvalRequest, StationaryMethod, Strategy,
 };
 use pfq_data::Database;
 use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo, FixpointMemo};
@@ -433,20 +433,24 @@ impl Oracle {
         }
     }
 
-    /// Exact event probability via the *production* legacy path (used as
-    /// ground truth for the sampler checks, fault-free on purpose: a
-    /// seeded inflationary fault should be caught by the inflationary
-    /// checks, not blur the sampler's reference).
-    fn exact_event_probability(&self, case: &FuzzCase) -> Result<Ratio, DatalogError> {
-        let dist = enumerate_fixpoints(&case.program, &case.db, Some(self.cfg.node_budget))?;
-        let event = case.event();
-        Ok(dist.probability_that(|db| event.holds(db)))
+    /// Exact event probability via the un-memoized
+    /// [`reference::exact_tree`] oracle (ground truth for the sampler
+    /// checks, fault-free on purpose: a seeded inflationary fault should
+    /// be caught by the inflationary checks, not blur the sampler's
+    /// reference).
+    fn exact_event_probability(&self, case: &FuzzCase) -> Result<Ratio, CoreError> {
+        let query = DatalogQuery::new(case.program.clone(), case.event());
+        let budget = ExactBudget {
+            node_budget: Some(self.cfg.node_budget),
+            world_budget: None,
+        };
+        reference::exact_tree(&query, &case.db, budget)
     }
 
     fn sampler_bound(&self, case: &FuzzCase, case_seed: u64) -> Outcome {
         let exact = match self.exact_event_probability(case) {
             Ok(p) => p,
-            Err(DatalogError::BudgetExceeded { .. }) => {
+            Err(CoreError::Datalog(DatalogError::BudgetExceeded { .. })) => {
                 return Outcome::Skip("no exact reference (budget)".into());
             }
             Err(e) => return Outcome::Fail(format!("exact reference errored: {e}")),
@@ -652,7 +656,7 @@ impl Oracle {
         let mut skips = Vec::new();
         let mut compared = 0usize;
 
-        // Inflationary task: Auto vs the legacy Prop 4.4 enumeration.
+        // Inflationary task: Auto vs the reference Prop 4.4 enumeration.
         let request = EvalRequest::inflationary(&query, &case.db).with_exact_budget(ExactBudget {
             node_budget: Some(self.cfg.node_budget),
             world_budget: None,
@@ -677,19 +681,19 @@ impl Oracle {
                 .exact()
                 .expect("exact plan yields an exact value");
             match self.exact_event_probability(case) {
-                Ok(legacy) if *p == legacy => compared += 1,
-                Ok(legacy) => {
+                Ok(oracle) if *p == oracle => compared += 1,
+                Ok(oracle) => {
                     return Outcome::Fail(format!(
-                        "planner-chosen {} probability {p} differs from legacy exact {legacy}",
+                        "planner-chosen {} probability {p} differs from reference exact {oracle}",
                         plan.action.name()
                     ));
                 }
-                Err(DatalogError::BudgetExceeded { .. }) => {
-                    skips.push("legacy exact reference over budget".to_string());
+                Err(CoreError::Datalog(DatalogError::BudgetExceeded { .. })) => {
+                    skips.push("exact reference over budget".to_string());
                 }
                 Err(e) => {
                     return Outcome::Fail(format!(
-                        "legacy exact reference errored where the planner chose {}: {e}",
+                        "exact reference errored where the planner chose {}: {e}",
                         plan.action.name()
                     ));
                 }
@@ -792,8 +796,7 @@ impl Oracle {
 
 /// Whether `e` is a budget exhaustion rather than a genuine failure
 /// (mirrors the planner's own fallback classification).
-fn is_budget_error(e: &pfq_core::CoreError) -> bool {
-    use pfq_core::CoreError;
+fn is_budget_error(e: &CoreError) -> bool {
     matches!(
         e,
         CoreError::Datalog(DatalogError::BudgetExceeded { .. })

@@ -1,24 +1,22 @@
-//! Differential tests for the engine layer: the legacy `evaluate*` free
-//! functions are now thin wrappers over `pfq::lang::engine`, and this
-//! suite proves the rewiring is **bit-identical** — every wrapper is
-//! replayed against the deprecated legacy entry point (which still holds
-//! the original evaluation body) over a seeded fuzz-generated corpus.
-//! Exact paths must agree `Ratio`-for-`Ratio`; sampling paths must agree
-//! to the bit on the same derived seed. Planner properties ride along:
-//! plans are deterministic (cold == warm) and §5.1 partitioning is never
-//! chosen for a program with negation.
-
-// The deprecated entry points are pinned on purpose: they are the legacy
-// surface the engine wrappers must stay bit-identical to.
-#![allow(deprecated)]
+//! Differential tests for the engine layer: the `evaluate*` free
+//! functions are thin wrappers over `pfq::lang::engine`, and this suite
+//! replays them over a seeded fuzz-generated corpus against independent
+//! oracles. The exact paths are compared with the un-memoized evaluators
+//! in `pfq::lang::reference` (their own explorer and, for chains, the
+//! dense solver), so a memo bug cannot pass on both sides. Exact paths
+//! must agree `Ratio`-for-`Ratio`; sampling paths must agree to the bit
+//! with the sampler primitive on the same derived seed. Planner
+//! properties ride along: plans are deterministic (cold == warm) and
+//! §5.1 partitioning is never chosen for a program with negation.
 
 use pfq::lang::engine::Planner;
 use pfq::lang::exact_inflationary::{self, ExactBudget};
-use pfq::lang::exact_noninflationary::{self, ChainBudget};
+use pfq::lang::exact_noninflationary::ChainBudget;
 use pfq::lang::sample_inflationary::{self, hoeffding_sample_count};
 use pfq::lang::sampler::SamplerConfig;
 use pfq::lang::{
-    mixing_sampler, partition, DatalogQuery, Engine, EvalCache, EvalRequest, PlanAction, Strategy,
+    mixing_sampler, partition, reference, DatalogQuery, Engine, EvalCache, EvalRequest, PlanAction,
+    StationaryMethod, Strategy,
 };
 use pfq_fuzz::gen::{generate, GenConfig};
 use proptest::prelude::*;
@@ -42,8 +40,8 @@ fn case_query(seed: u64) -> (pfq_fuzz::gen::FuzzCase, DatalogQuery) {
     (case, query)
 }
 
-/// The ≥200-case corpus differential: every engine-routed wrapper versus
-/// its deprecated legacy twin, bit for bit.
+/// The 200-case corpus differential: every engine-routed wrapper versus
+/// its reference oracle or sampler primitive, bit for bit.
 #[test]
 fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
     let mut exact_hits = 0usize;
@@ -54,12 +52,10 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
     for i in 0..200u64 {
         let (case, query) = case_query(0xE47_0000 + i);
 
-        // Prop 4.4 exact tree: wrapper vs the deprecated cached body.
+        // Prop 4.4 exact tree: wrapper vs the un-memoized oracle.
         let engine_p = exact_inflationary::evaluate(&query, &case.db, NODE_BUDGET);
-        let mut cache = EvalCache::default();
-        let legacy_p =
-            exact_inflationary::evaluate_with_cache(&query, &case.db, NODE_BUDGET, &mut cache);
-        match (engine_p, legacy_p) {
+        let oracle_p = reference::exact_tree(&query, &case.db, NODE_BUDGET);
+        match (engine_p, oracle_p) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a, b, "case {i}: exact tree diverged");
                 exact_hits += 1;
@@ -68,25 +64,31 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
             (a, b) => panic!("case {i}: one exact-tree path errored: {a:?} vs {b:?}"),
         }
 
-        // Thm 5.5 exact chain: wrapper vs the deprecated cached body,
-        // under both stationary solvers.
+        // Thm 5.5 exact chain: the engine's interned chain under both
+        // stationary solvers vs the oracle's Database-keyed chain solved
+        // by the dense reference.
         if let Ok((fq, prepared)) = query.to_forever_query(&case.db) {
-            let engine_p = exact_noninflationary::evaluate(&fq, &prepared, CHAIN_BUDGET);
+            let oracle_p = reference::exact_chain(
+                &fq,
+                &prepared,
+                CHAIN_BUDGET,
+                StationaryMethod::DenseReference,
+            );
             for method in [
-                pfq::markov::stationary::StationaryMethod::DenseReference,
-                pfq::markov::stationary::StationaryMethod::SparseGth,
+                StationaryMethod::DenseReference,
+                StationaryMethod::SparseGth,
             ] {
-                let mut cache = EvalCache::default();
-                let legacy_p = exact_noninflationary::evaluate_with_cache_and_method(
-                    &fq,
-                    &prepared,
-                    CHAIN_BUDGET,
-                    &mut cache,
-                    method,
-                );
-                match (&engine_p, legacy_p) {
+                let p = Engine::new()
+                    .run(
+                        &EvalRequest::forever(&fq, &prepared)
+                            .with_strategy(Strategy::ExactChain)
+                            .with_chain_budget(CHAIN_BUDGET)
+                            .with_stationary_method(method),
+                    )
+                    .and_then(|outcome| outcome.into_exact());
+                match (p, &oracle_p) {
                     (Ok(a), Ok(b)) => {
-                        assert_eq!(*a, b, "case {i}: exact chain diverged under {method:?}");
+                        assert_eq!(a, *b, "case {i}: exact chain diverged under {method:?}");
                         chain_hits += 1;
                     }
                     (Err(_), Err(_)) => {}
@@ -99,7 +101,7 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
             // this corpus check covers arbitrary generated programs).
             if !case.program.has_negation() {
                 if let (Ok(whole), Ok(split)) = (
-                    &engine_p,
+                    &oracle_p,
                     partition::evaluate_partitioned(&query, &case.db, CHAIN_BUDGET),
                 ) {
                     assert_eq!(*whole, split, "case {i}: partitioned diverged");

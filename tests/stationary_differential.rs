@@ -5,12 +5,8 @@
 //! non-inflationary query evaluation — plus the structural edge cases
 //! (single state, periodic cycles, reducible chains).
 
-// This suite deliberately pins the deprecated `*_with_method` entry
-// points: they are the legacy surface the engine wrappers must stay
-// bit-identical to.
-#![allow(deprecated)]
-
-use pfq::lang::exact_noninflationary::{self, ChainBudget};
+use pfq::lang::exact_noninflationary::ChainBudget;
+use pfq::lang::{reference, Engine, EvalRequest, Strategy};
 use pfq::markov::absorption::long_run_distribution_with;
 use pfq::markov::stationary::{exact_stationary_with, StationaryMethod};
 use pfq::markov::MarkovChain;
@@ -111,17 +107,30 @@ proptest! {
     }
 
     /// End to end: exact non-inflationary query evaluation returns the
-    /// same rational under both backends on random walk queries.
+    /// same rational under both backends on random walk queries, through
+    /// the engine's exact-chain path and through the reference oracle.
     #[test]
     fn prop_evaluate_agrees_end_to_end(seed in any::<u64>(), n in 2usize..6, p in 0.3f64..0.9) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = WeightedGraph::erdos_renyi(n, p, &mut rng);
         let (q, db) = walk_query(&g, 0, n as i64 - 1);
-        let dense = exact_noninflationary::evaluate_with_method(
+        let engine = |method| {
+            Engine::new()
+                .run(
+                    &EvalRequest::forever(&q, &db)
+                        .with_strategy(Strategy::ExactChain)
+                        .with_stationary_method(method),
+                )
+                .unwrap()
+                .into_exact()
+                .unwrap()
+        };
+        let dense = engine(StationaryMethod::DenseReference);
+        let sparse = engine(StationaryMethod::SparseGth);
+        let oracle = reference::exact_chain(
             &q, &db, ChainBudget::default(), StationaryMethod::DenseReference).unwrap();
-        let sparse = exact_noninflationary::evaluate_with_method(
-            &q, &db, ChainBudget::default(), StationaryMethod::SparseGth).unwrap();
-        prop_assert_eq!(dense, sparse);
+        prop_assert_eq!(&dense, &sparse);
+        prop_assert_eq!(&sparse, &oracle);
     }
 }
 
