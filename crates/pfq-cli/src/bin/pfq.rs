@@ -3,13 +3,12 @@
 //!
 //! ```text
 //! pfq run <file.pfq> [--threads N] [--seed S] [--no-adaptive] [--stats] [--explain]
-//! pfq plan <file.pfq> [--stationary-method dense|gth]
+//! pfq plan <file.pfq> [the same options as run]
 //! pfq fuzz [--seed S] [--programs N] [--max-size K] [--paths LIST] [--smoke]
 //! pfq help
 //! ```
 
 use pfq_cli::RunOptions;
-use pfq_core::StationaryMethod;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -52,11 +51,6 @@ OPTIONS (exact queries):
     --stats            print evaluation-cache statistics after each query
                        (states interned, memo hits/misses, estimated bytes);
                        one cache is shared by every exact query in the file
-    --stationary-method <dense|gth>
-                       exact linear-algebra backend for long-run solves:
-                       gth (default) = sparse subtraction-free GTH elimination,
-                       dense = the O(n³) Gaussian-elimination reference; both
-                       return bit-identical results (A/B timing knob)
 
 OPTIONS (planning):
     --explain          (pfq run) print the executed plan tree under each
@@ -117,12 +111,6 @@ fn parse_run_args(args: &[String]) -> Result<(String, RunOptions), String> {
             "--no-adaptive" => options.no_adaptive = true,
             "--stats" => options.stats = true,
             "--explain" => options.explain = true,
-            "--stationary-method" => {
-                let v = value("--stationary-method")?;
-                options.stationary_method = StationaryMethod::parse(&v).ok_or_else(|| {
-                    format!("bad --stationary-method value {v:?} (expected dense or gth)")
-                })?;
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown option {flag:?}")),
             p if path.is_none() => path = Some(p.to_string()),
             extra => return Err(format!("unexpected argument {extra:?}")),
@@ -218,7 +206,7 @@ fn run_fuzz(cfg: &pfq_fuzz::FuzzConfig, out: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") => {
+        Some(command @ ("run" | "plan")) => {
             let (path, options) = match parse_run_args(&args[1..]) {
                 Ok(parsed) => parsed,
                 Err(e) => {
@@ -226,26 +214,14 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            match pfq_cli::run_file_with_options(Path::new(&path), &options) {
-                Ok(results) => {
-                    print!("{}", pfq_cli::render_results(&results));
-                    ExitCode::SUCCESS
+            let output = pfq_cli::read_file(Path::new(&path)).and_then(|file| {
+                if command == "run" {
+                    pfq_cli::run(&file, &options).map(|results| pfq_cli::render_results(&results))
+                } else {
+                    pfq_cli::plan(&file, &options)
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("plan") => {
-            let (path, options) = match parse_run_args(&args[1..]) {
-                Ok(parsed) => parsed,
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match pfq_cli::plan_file_with_options(Path::new(&path), &options) {
+            });
+            match output {
                 Ok(rendered) => {
                     print!("{rendered}");
                     ExitCode::SUCCESS
@@ -289,8 +265,6 @@ mod tests {
             "--no-adaptive",
             "--stats",
             "--explain",
-            "--stationary-method",
-            "dense",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -299,28 +273,22 @@ mod tests {
         assert_eq!(path, "q.pfq");
         assert_eq!(
             options,
-            RunOptions::default()
-                .with_threads(4)
-                .with_seed(7)
-                .with_no_adaptive(true)
-                .with_stats(true)
-                .with_explain(true)
-                .with_stationary_method(StationaryMethod::DenseReference)
+            RunOptions {
+                threads: 4,
+                seed: Some(7),
+                no_adaptive: true,
+                stats: true,
+                explain: true,
+            }
         );
         assert_eq!(
-            parse_run_args(&["q.pfq".into()])
-                .unwrap()
-                .1
-                .stationary_method,
-            StationaryMethod::SparseGth
+            parse_run_args(&["q.pfq".into()]).unwrap().1,
+            RunOptions::default()
         );
         assert!(parse_run_args(&[]).is_err());
         assert!(parse_run_args(&["--threads".into()]).is_err());
         assert!(parse_run_args(&["a".into(), "b".into()]).is_err());
         assert!(parse_run_args(&["--bogus".into()]).is_err());
-        assert!(
-            parse_run_args(&["q.pfq".into(), "--stationary-method".into(), "x".into()]).is_err()
-        );
     }
 
     #[test]

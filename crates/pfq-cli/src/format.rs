@@ -1,73 +1,50 @@
 //! Parsing of `.pfq` files: `@relation` blocks, one `@program` block,
-//! and `@query` directives.
+//! `@kernel` directives and `@query` directives.
 
 use pfq_algebra::Interpretation;
+use pfq_core::Strategy;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_datalog::Program;
 use pfq_num::Ratio;
+use std::error::Error;
+use std::path::Path;
 
-/// How a query should be evaluated.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Semantics {
-    /// Proposition 4.4: exact computation-tree traversal.
-    InflationaryExact,
-    /// Theorem 4.3: absolute `(ε, δ)` sampling.
-    InflationarySample {
-        /// Absolute error bound ε.
-        epsilon: f64,
-        /// Failure probability δ.
-        delta: f64,
-        /// RNG seed (runs are reproducible).
-        seed: u64,
-    },
-    /// Theorem 5.5: explicit chain + exact long-run analysis.
-    NoninflationaryExact,
-    /// One long walk's time average.
-    TimeAverage {
-        /// Number of kernel steps to walk.
-        steps: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Theorem 5.6: restart sampling with a fixed burn-in.
-    BurnIn {
-        /// Kernel steps per sample before observing.
-        burn_in: usize,
-        /// Absolute error bound ε.
-        epsilon: f64,
-        /// Failure probability δ.
-        delta: f64,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Like [`Semantics::NoninflationaryExact`] but over the `@kernel`
-    /// interpretation instead of a translated `@program`.
-    KernelExact,
-    /// Like [`Semantics::TimeAverage`] over the `@kernel` interpretation.
-    KernelTimeAverage {
-        /// Number of kernel steps to walk.
-        steps: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Like [`Semantics::BurnIn`] over the `@kernel` interpretation.
-    KernelBurnIn {
-        /// Kernel steps per sample before observing.
-        burn_in: usize,
-        /// Absolute error bound ε.
-        epsilon: f64,
-        /// Failure probability δ.
-        delta: f64,
-        /// RNG seed.
-        seed: u64,
-    },
+/// The query family: which semantics a directive observes, and so
+/// which engine task it becomes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// §3.3 inflationary semantics of the `@program`.
+    Inflationary,
+    /// §3.3 non-inflationary semantics of the `@program`, translated
+    /// into a destructive transition kernel (Definition 3.2).
+    Noninflationary,
+    /// A forever-query over the `@kernel` interpretation.
+    Kernel,
+}
+
+impl std::fmt::Display for Family {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Family::Inflationary => "inflationary",
+            Family::Noninflationary => "noninflationary",
+            Family::Kernel => "kernel",
+        })
+    }
 }
 
 /// One `@query` directive.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Query {
-    /// Evaluation mode.
-    pub semantics: Semantics,
+    /// The semantics observed.
+    pub family: Family,
+    /// The evaluation algorithm the directive names.
+    pub strategy: Strategy,
+    /// Absolute error bound ε of sampling strategies.
+    pub epsilon: f64,
+    /// Failure probability δ of sampling strategies.
+    pub delta: f64,
+    /// RNG seed of sampling strategies (runs are reproducible).
+    pub seed: u64,
     /// The observed relation.
     pub relation: String,
     /// The observed ground tuple.
@@ -104,7 +81,7 @@ impl std::fmt::Display for FormatError {
     }
 }
 
-impl std::error::Error for FormatError {}
+impl Error for FormatError {}
 
 fn err(line: usize, message: impl Into<String>) -> FormatError {
     FormatError {
@@ -174,7 +151,7 @@ fn split_call(text: &str, line: usize) -> Result<(String, Vec<String>), FormatEr
 }
 
 /// Parses a `.pfq` source file.
-pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
+pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn Error>> {
     let mut database = Database::new();
     let mut program_src: Option<String> = None;
     let mut kernels: Option<Interpretation> = None;
@@ -197,6 +174,9 @@ pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
             let (name, cols) = split_call(header, line_no)?;
             if cols.is_empty() && !header.contains('(') {
                 return Err(err(line_no, "relation header needs a column list").into());
+            }
+            if database.contains_relation(&name) {
+                return Err(err(line_no, format!("duplicate @relation block for {name}")).into());
             }
             let schema = Schema::new(cols);
             let mut rel = Relation::empty(schema.clone());
@@ -262,7 +242,7 @@ pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
             }
             program_src = Some(body);
         } else if let Some(rest) = line.strip_prefix("@query") {
-            queries.push(parse_query(rest.trim(), line_no)?);
+            queries.push((line_no, parse_query(rest.trim(), line_no)?));
         } else if let Some(rest) = line.strip_prefix("@kernel") {
             let (target, expr_src) = rest
                 .split_once(":=")
@@ -288,12 +268,21 @@ pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
         )
         .into());
     }
+    for (line, query) in &queries {
+        check_event_arity(query, &database, program.as_ref(), *line)?;
+    }
     Ok(PfqFile {
         database,
         program,
         kernels,
-        queries,
+        queries: queries.into_iter().map(|(_, query)| query).collect(),
     })
+}
+
+/// Parses one numeric `@query` option value.
+fn number<T: std::str::FromStr>(word: &str, line: usize) -> Result<T, FormatError> {
+    word.parse()
+        .map_err(|_| err(line, format!("expected a number, got {word:?}")))
 }
 
 fn parse_query(text: &str, line: usize) -> Result<Query, FormatError> {
@@ -307,17 +296,16 @@ fn parse_query(text: &str, line: usize) -> Result<Query, FormatError> {
         *pos += 1;
         Ok(w)
     };
-    let parse_f64 = |w: &str| -> Result<f64, FormatError> {
-        w.parse()
-            .map_err(|_| err(line, format!("expected a number, got {w:?}")))
-    };
-    let parse_usize = |w: &str| -> Result<usize, FormatError> {
-        w.parse()
-            .map_err(|_| err(line, format!("expected an integer, got {w:?}")))
-    };
 
-    let family = next(&mut pos)?.to_string();
-    let mode = next(&mut pos)?.to_string();
+    let family_word = next(&mut pos)?;
+    let mode = next(&mut pos)?;
+    let unknown_mode = || err(line, format!("unknown query mode `{family_word} {mode}`"));
+    let family = match family_word {
+        "inflationary" => Family::Inflationary,
+        "noninflationary" => Family::Noninflationary,
+        "kernel" => Family::Kernel,
+        _ => return Err(unknown_mode()),
+    };
 
     // Keyword/value pairs until `event`.
     let mut epsilon = 0.05f64;
@@ -327,17 +315,17 @@ fn parse_query(text: &str, line: usize) -> Result<Query, FormatError> {
     let mut burn_in = 100usize;
     // `burn-in` doubles as the mode word with its value right after it.
     if mode == "burn-in" || mode == "burnin" {
-        burn_in = parse_usize(next(&mut pos)?)?;
+        burn_in = number(next(&mut pos)?, line)?;
     }
     loop {
         let w = next(&mut pos)?;
         match w {
             "event" => break,
-            "epsilon" => epsilon = parse_f64(next(&mut pos)?)?,
-            "delta" => delta = parse_f64(next(&mut pos)?)?,
-            "seed" => seed = parse_usize(next(&mut pos)?)? as u64,
-            "steps" => steps = parse_usize(next(&mut pos)?)?,
-            "burn-in" | "burnin" => burn_in = parse_usize(next(&mut pos)?)?,
+            "epsilon" => epsilon = number(next(&mut pos)?, line)?,
+            "delta" => delta = number(next(&mut pos)?, line)?,
+            "seed" => seed = number(next(&mut pos)?, line)?,
+            "steps" => steps = number(next(&mut pos)?, line)?,
+            "burn-in" | "burnin" => burn_in = number(next(&mut pos)?, line)?,
             other => return Err(err(line, format!("unknown @query option {other:?}"))),
         }
     }
@@ -350,41 +338,63 @@ fn parse_query(text: &str, line: usize) -> Result<Query, FormatError> {
         .iter()
         .map(|p| parse_value(p, line))
         .collect::<Result<_, _>>()?;
-    let tuple = Tuple::new(values);
 
-    let semantics = match (family.as_str(), mode.as_str()) {
-        ("inflationary", "exact") => Semantics::InflationaryExact,
-        ("inflationary", "sample") => Semantics::InflationarySample {
-            epsilon,
-            delta,
-            seed,
+    let strategy = match (family, mode) {
+        (Family::Inflationary, "exact") => Strategy::ExactTree,
+        (Family::Inflationary, "sample") => Strategy::SampleFixpoint,
+        (Family::Inflationary, _) => return Err(unknown_mode()),
+        (_, "exact") => Strategy::ExactChain,
+        (_, "time-average") => Strategy::TimeAverage { steps },
+        (_, "burn-in" | "burnin") => Strategy::BurnInSample {
+            burn_in: Some(burn_in),
         },
-        ("noninflationary", "exact") => Semantics::NoninflationaryExact,
-        ("noninflationary", "time-average") => Semantics::TimeAverage { steps, seed },
-        ("noninflationary", "burn-in") | ("noninflationary", "burnin") => Semantics::BurnIn {
-            burn_in,
-            epsilon,
-            delta,
-            seed,
-        },
-        ("kernel", "exact") => Semantics::KernelExact,
-        ("kernel", "time-average") => Semantics::KernelTimeAverage { steps, seed },
-        ("kernel", "burn-in") | ("kernel", "burnin") => Semantics::KernelBurnIn {
-            burn_in,
-            epsilon,
-            delta,
-            seed,
-        },
-        (f, m) => {
-            return Err(err(line, format!("unknown query mode `{f} {m}`")));
-        }
+        _ => return Err(unknown_mode()),
     };
     Ok(Query {
-        semantics,
+        family,
+        strategy,
+        epsilon,
+        delta,
+        seed,
         relation,
-        tuple,
+        tuple: Tuple::new(values),
         source: format!("@query {text}"),
     })
+}
+
+/// Rejects an event atom whose arity differs from its relation's
+/// declared arity — the `@relation` schema or an `@program` head. Such
+/// an event can never hold, so the run would silently report 0.
+fn check_event_arity(
+    query: &Query,
+    database: &Database,
+    program: Option<&Program>,
+    line: usize,
+) -> Result<(), FormatError> {
+    let name = &query.relation;
+    let arity = query.tuple.arity();
+    let declared = database
+        .get(name)
+        .map(|rel| ("@relation schema", rel.schema().arity()));
+    let heads = program
+        .into_iter()
+        .flat_map(|p| &p.rules)
+        .filter(|rule| &rule.head.relation == name)
+        .map(|rule| ("@program head", rule.head.terms.len()));
+    match declared.into_iter().chain(heads).find(|&(_, a)| a != arity) {
+        Some((source, a)) => Err(err(
+            line,
+            format!("event {name} has {arity} value(s) but its {source} has arity {a}"),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Reads and parses a `.pfq` file from disk.
+pub fn read_file(path: &Path) -> Result<PfqFile, Box<dyn Error>> {
+    let src = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse_file(&src)
 }
 
 #[cfg(test)]
@@ -420,15 +430,11 @@ mod tests {
             .contains(&tuple!["v", "w", Value::frac(1, 2)]));
         assert_eq!(f.program.as_ref().unwrap().rules.len(), 3);
         assert_eq!(f.queries.len(), 2);
-        assert_eq!(f.queries[0].semantics, Semantics::InflationaryExact);
-        assert_eq!(
-            f.queries[1].semantics,
-            Semantics::InflationarySample {
-                epsilon: 0.1,
-                delta: 0.05,
-                seed: 7
-            }
-        );
+        assert_eq!(f.queries[0].family, Family::Inflationary);
+        assert_eq!(f.queries[0].strategy, Strategy::ExactTree);
+        let sample = &f.queries[1];
+        assert_eq!(sample.strategy, Strategy::SampleFixpoint);
+        assert_eq!((sample.epsilon, sample.delta, sample.seed), (0.1, 0.05, 7));
         assert_eq!(f.queries[0].relation, "C");
         assert_eq!(f.queries[0].tuple, tuple!["w"]);
     }
@@ -451,35 +457,32 @@ mod tests {
     #[test]
     fn query_modes() {
         let q = parse_query("noninflationary exact event Done(a)", 1).unwrap();
-        assert_eq!(q.semantics, Semantics::NoninflationaryExact);
-        let q = parse_query(
-            "noninflationary time-average steps 500 seed 3 event Done",
-            1,
-        )
-        .unwrap();
-        assert_eq!(
-            q.semantics,
-            Semantics::TimeAverage {
-                steps: 500,
-                seed: 3
-            }
-        );
+        assert_eq!(q.family, Family::Noninflationary);
+        assert_eq!(q.strategy, Strategy::ExactChain);
+        let q = parse_query("kernel time-average steps 500 seed 3 event Done", 1).unwrap();
+        assert_eq!(q.family, Family::Kernel);
+        assert_eq!(q.strategy, Strategy::TimeAverage { steps: 500 });
+        assert_eq!(q.seed, 3);
         assert_eq!(q.tuple, Tuple::new(Vec::new()));
         let q = parse_query(
             "noninflationary burn-in 25 epsilon 0.2 delta 0.1 seed 9 event C(1, 2)",
             1,
         )
         .unwrap();
-        assert_eq!(
-            q.semantics,
-            Semantics::BurnIn {
-                burn_in: 25,
-                epsilon: 0.2,
-                delta: 0.1,
-                seed: 9
-            }
-        );
+        assert_eq!(q.strategy, Strategy::BurnInSample { burn_in: Some(25) });
+        assert_eq!((q.epsilon, q.delta, q.seed), (0.2, 0.1, 9));
         assert_eq!(q.tuple, tuple![1, 2]);
+        // Seeds span the whole u64 range.
+        let q = parse_query("inflationary sample seed 18446744073709551615 event C", 1).unwrap();
+        assert_eq!(q.seed, u64::MAX);
+        for bad in [
+            "inflationary time-average event C",
+            "kernel sample event C",
+            "bogus exact event C",
+        ] {
+            let e = parse_query(bad, 1).unwrap_err().to_string();
+            assert!(e.contains("unknown query mode"), "{bad}: {e}");
+        }
     }
 
     #[test]
@@ -503,6 +506,47 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("missing @program"));
+    }
+
+    #[test]
+    fn duplicate_relation_blocks_are_rejected() {
+        // Keeping either block alone would silently change C(1).
+        let src = "@relation E(i) {\n(1)\n}\n@relation E(i) {\n(2)\n}\n\
+                   @program {\nC(X) :- E(X).\n}\n@query inflationary exact event C(1)";
+        let e = parse_file(src).unwrap_err().to_string();
+        assert!(e.contains("line 4"), "{e}");
+        assert!(e.contains("duplicate @relation block for E"), "{e}");
+    }
+
+    #[test]
+    fn event_arity_must_match_its_relation() {
+        // Against an @relation schema (any family).
+        let src = "@relation C(i) {\n(1)\n}\n@kernel C := C\n\
+                   @query kernel exact event C(1, 2)";
+        let e = parse_file(src).unwrap_err().to_string();
+        assert!(e.contains("line 5"), "{e}");
+        assert!(e.contains("@relation schema has arity 1"), "{e}");
+        // Against an @program head, even when the query precedes the
+        // program block.
+        let src = "@query inflationary exact event C(1, 2)\n@program {\nC(1).\n}";
+        let e = parse_file(src).unwrap_err().to_string();
+        assert!(e.contains("line 1"), "{e}");
+        assert!(e.contains("@program head has arity 1"), "{e}");
+        // Matching arities and undeclared relations parse.
+        assert!(parse_file("@program {\nC(1).\n}\n@query inflationary exact event C(1)").is_ok());
+        assert!(
+            parse_file("@program {\nC(1).\n}\n@query inflationary exact event D(1, 2)").is_ok()
+        );
+    }
+
+    #[test]
+    fn read_file_reads_from_disk() {
+        let path = std::env::temp_dir().join("pfq_cli_format_test.pfq");
+        std::fs::write(&path, SAMPLE).unwrap();
+        assert_eq!(read_file(&path).unwrap().queries.len(), 2);
+        std::fs::remove_file(&path).ok();
+        let e = read_file(Path::new("/nonexistent/x.pfq")).unwrap_err();
+        assert!(e.to_string().contains("cannot read"), "{e}");
     }
 
     #[test]

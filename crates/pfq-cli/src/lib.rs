@@ -45,12 +45,21 @@
 //!
 //! `@program` and `@kernel` may coexist; at least one must be present.
 //! See `examples/pagerank.pfq` for a full kernel-only file.
+//!
+//! Parsing rejects, with the line number, data a run would silently
+//! ignore: a second `@relation` block with an existing name, and an
+//! event whose arity differs from its relation's `@relation` schema or
+//! `@program` head.
+//!
+//! Each directive parses into a [`Query`]: its [`Family`] (the engine
+//! task), the [`pfq_core::Strategy`] its mode names, and its ε, δ and
+//! seed. [`run`] turns every query into one engine request and renders
+//! the result line from the executed plan; [`plan`] shows what the
+//! planner would choose without executing anything. [`read_file`] and
+//! [`parse_file`] produce the [`PfqFile`] both take.
 
 pub mod format;
 pub mod runner;
 
-pub use format::{parse_file, PfqFile, Query, Semantics};
-pub use runner::{
-    plan_file_with_options, plan_source_with_options, plan_with_options, render_results, run_file,
-    run_file_with_options, run_source, run_source_with_options, QueryResult, RunOptions,
-};
+pub use format::{parse_file, read_file, Family, PfqFile, Query};
+pub use runner::{plan, render_results, run, QueryResult, RunOptions};

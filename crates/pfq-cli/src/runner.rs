@@ -1,26 +1,30 @@
 //! Executing (and planning) the queries of a parsed `.pfq` file.
 //!
-//! Every directive is translated into a [`pfq_core::engine::EvalRequest`]
-//! and handed to one shared [`Engine`] per file, so exact queries share
-//! interned states and memoized transition rows across directives.
-//! `run*` entry points force the directive's historical strategy (output
-//! is byte-identical to the pre-engine CLI); `plan*` entry points ask
-//! the planner what it *would* choose and render the explainable plan
-//! tree without executing anything.
+//! Every directive becomes one [`EvalRequest`]: the constructor for its
+//! [`Family`], then its [`Strategy`], ε, δ and seed, then the file-wide
+//! [`RunOptions`]. One [`Engine`] serves a whole file, so exact queries
+//! share interned states and memoized transition rows across
+//! directives. [`run`] executes each request and renders the result
+//! line from the plan that ran; [`plan`] asks the planner what it
+//! *would* choose and renders the explainable plan tree without
+//! executing anything.
 
-use crate::format::{parse_file, PfqFile, Query, Semantics};
-use pfq_core::engine::{Engine, EvalRequest, Plan, Strategy};
+use crate::format::{Family, PfqFile, Query};
+use pfq_core::engine::{Engine, EvalOutcome, EvalRequest, PlanAction, Strategy};
 use pfq_core::sampler::SampleReport;
-use pfq_core::{DatalogQuery, Event, ForeverQuery, StationaryMethod};
-use pfq_data::Database;
+use pfq_core::{CoreError, DatalogQuery, Event, ForeverQuery};
+use std::error::Error;
 
-/// Execution options applying to every query in a file. Construct with
-/// [`Default`] plus the builder-style setters, so new flags do not churn
-/// call sites:
+/// Execution options applying to every query in a file. Every field is
+/// public; construct with struct-update syntax:
 ///
 /// ```
 /// # use pfq_cli::RunOptions;
-/// let options = RunOptions::default().with_threads(2).with_stats(true);
+/// let options = RunOptions {
+///     threads: 2,
+///     stats: true,
+///     ..RunOptions::default()
+/// };
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunOptions {
@@ -37,50 +41,8 @@ pub struct RunOptions {
     /// are cumulative over the file: one cache is shared by every exact
     /// query, so later queries show the reuse earlier ones seeded.
     pub stats: bool,
-    /// Exact linear-algebra backend for long-run solves (sparse GTH by
-    /// default; the dense reference for A/B comparison). Both return
-    /// bit-identical results.
-    pub stationary_method: StationaryMethod,
     /// Attach the executed plan tree to every result (`--explain`).
     pub explain: bool,
-}
-
-impl RunOptions {
-    /// Sets the sampling worker-thread count (`0` = one per core).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Overrides every query's seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Disables adaptive early stopping.
-    pub fn with_no_adaptive(mut self, no_adaptive: bool) -> Self {
-        self.no_adaptive = no_adaptive;
-        self
-    }
-
-    /// Enables per-query cache statistics.
-    pub fn with_stats(mut self, stats: bool) -> Self {
-        self.stats = stats;
-        self
-    }
-
-    /// Selects the exact linear-algebra backend for long-run solves.
-    pub fn with_stationary_method(mut self, method: StationaryMethod) -> Self {
-        self.stationary_method = method;
-        self
-    }
-
-    /// Attaches the executed plan tree to every result.
-    pub fn with_explain(mut self, explain: bool) -> Self {
-        self.explain = explain;
-        self
-    }
 }
 
 /// The result of one query: the directive echoed back plus the value.
@@ -110,11 +72,7 @@ pub fn render_results(results: &[QueryResult]) -> String {
         out.push_str(&r.value);
         out.push('\n');
         if let Some(plan) = &r.plan {
-            for line in plan.lines() {
-                out.push_str("  ");
-                out.push_str(line);
-                out.push('\n');
-            }
+            push_indented(&mut out, plan.lines());
         }
         if let Some(stats) = &r.stats {
             out.push_str("  cache: ");
@@ -123,6 +81,15 @@ pub fn render_results(results: &[QueryResult]) -> String {
         }
     }
     out
+}
+
+/// Appends each line indented by two spaces.
+fn push_indented<S: AsRef<str>>(out: &mut String, lines: impl IntoIterator<Item = S>) {
+    for line in lines {
+        out.push_str("  ");
+        out.push_str(line.as_ref());
+        out.push('\n');
+    }
 }
 
 /// Renders a sampling report in the CLI's result-line format. The
@@ -143,222 +110,107 @@ fn format_report(report: &SampleReport, detail: std::fmt::Arguments<'_>) -> Stri
     )
 }
 
-/// The owned query objects an [`EvalRequest`] borrows from: the datalog
-/// view of the directive and, for `kernel` directives, the raw
-/// forever-query.
-struct QueryContext {
-    dq: DatalogQuery,
-    fq: Option<ForeverQuery>,
-}
-
-impl QueryContext {
-    fn new(file: &PfqFile, query: &Query) -> Result<QueryContext, String> {
-        let event = Event::tuple_in(query.relation.clone(), query.tuple.clone());
-        let need_program = |what: &str| -> Result<(), String> {
-            if file.program.is_none() {
-                return Err(format!("{what} queries need an @program block"));
-            }
-            Ok(())
-        };
-        let fq = match &query.semantics {
-            Semantics::InflationaryExact | Semantics::InflationarySample { .. } => {
-                need_program("inflationary")?;
-                None
-            }
-            Semantics::NoninflationaryExact
-            | Semantics::TimeAverage { .. }
-            | Semantics::BurnIn { .. } => {
-                need_program("noninflationary")?;
-                None
-            }
-            Semantics::KernelExact
-            | Semantics::KernelTimeAverage { .. }
-            | Semantics::KernelBurnIn { .. } => {
-                let kernels = file
-                    .kernels
-                    .clone()
-                    .ok_or("kernel queries need @kernel directives")?;
-                Some(ForeverQuery::new(kernels, event.clone()))
-            }
-        };
-        Ok(QueryContext {
-            dq: DatalogQuery::new(file.program.clone().unwrap_or_default(), event),
-            fq,
-        })
-    }
-
-    /// Builds the request a directive maps to. With `auto` set, exact
-    /// and sample directives leave strategy selection to the planner
-    /// (the `pfq plan` view); without it, each directive forces its
-    /// historical strategy so `pfq run` output stays byte-identical to
-    /// the pre-engine CLI. Directives naming an explicit sampling
-    /// algorithm (`time-average`, `burn-in N`) always pin it.
-    fn request<'a>(
-        &'a self,
-        db: &'a Database,
-        query: &Query,
-        options: &RunOptions,
-        auto: bool,
-    ) -> EvalRequest<'a> {
-        let pick = |forced: Strategy| if auto { Strategy::Auto } else { forced };
-        let request = match &query.semantics {
-            Semantics::InflationaryExact => {
-                EvalRequest::inflationary(&self.dq, db).with_strategy(pick(Strategy::ExactTree))
-            }
-            Semantics::InflationarySample {
-                epsilon,
-                delta,
-                seed,
-            } => EvalRequest::inflationary(&self.dq, db)
-                .with_strategy(pick(Strategy::SampleFixpoint))
-                .with_epsilon_delta(*epsilon, *delta)
-                .with_seed(options.seed.unwrap_or(*seed)),
-            Semantics::NoninflationaryExact => {
-                EvalRequest::noninflationary(&self.dq, db).with_strategy(pick(Strategy::ExactChain))
-            }
-            Semantics::TimeAverage { steps, seed } => EvalRequest::noninflationary(&self.dq, db)
-                .with_strategy(Strategy::TimeAverage { steps: *steps })
-                .with_seed(options.seed.unwrap_or(*seed)),
-            Semantics::BurnIn {
+/// The result line of an outcome, rendered from the plan that ran: its
+/// action names the algorithm and carries ε, δ, burn-in and steps.
+fn result_line(outcome: &EvalOutcome) -> String {
+    let p = &outcome.value;
+    match (&outcome.plan.action, &outcome.report) {
+        (PlanAction::ExactTree { .. }, _) => format!("p = {p} (= {:.6}, exact)", p.to_f64()),
+        (PlanAction::ExactChain { .. } | PlanAction::Partitioned { .. }, _) => {
+            format!("p = {p} (= {:.6}, exact long-run)", p.to_f64())
+        }
+        (PlanAction::TimeAverage { steps, .. }, _) => {
+            format!("p ≈ {:.6} (time average over {steps} steps)", p.to_f64())
+        }
+        (PlanAction::SampleFixpoint { epsilon, delta, .. }, Some(report)) => {
+            format_report(report, format_args!("ε = {epsilon}, δ = {delta}"))
+        }
+        (
+            PlanAction::BurnInSample {
                 burn_in,
                 epsilon,
                 delta,
-                seed,
-            } => EvalRequest::noninflationary(&self.dq, db)
-                .with_strategy(Strategy::BurnInSample {
-                    burn_in: Some(*burn_in),
-                })
-                .with_epsilon_delta(*epsilon, *delta)
-                .with_seed(options.seed.unwrap_or(*seed)),
-            Semantics::KernelExact => {
-                EvalRequest::forever(self.fq.as_ref().expect("kernel context"), db)
-                    .with_strategy(pick(Strategy::ExactChain))
-            }
-            Semantics::KernelTimeAverage { steps, seed } => {
-                EvalRequest::forever(self.fq.as_ref().expect("kernel context"), db)
-                    .with_strategy(Strategy::TimeAverage { steps: *steps })
-                    .with_seed(options.seed.unwrap_or(*seed))
-            }
-            Semantics::KernelBurnIn {
-                burn_in,
-                epsilon,
-                delta,
-                seed,
-            } => EvalRequest::forever(self.fq.as_ref().expect("kernel context"), db)
-                .with_strategy(Strategy::BurnInSample {
-                    burn_in: Some(*burn_in),
-                })
-                .with_epsilon_delta(*epsilon, *delta)
-                .with_seed(options.seed.unwrap_or(*seed)),
-        };
-        request
-            .with_threads(options.threads)
-            .with_adaptive(!options.no_adaptive)
-            .with_stationary_method(options.stationary_method)
+                ..
+            },
+            Some(report),
+        ) => format_report(
+            report,
+            format_args!("burn-in {burn_in}, ε = {epsilon}, δ = {delta}"),
+        ),
+        (PlanAction::SampleFixpoint { .. } | PlanAction::BurnInSample { .. }, None) => {
+            format!("p ≈ {:.6}", p.to_f64())
+        }
     }
 }
 
-/// Runs every query of a parsed file; results come back in file order.
-pub fn run(file: &PfqFile) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_with_options(file, &RunOptions::default())
-}
-
-/// [`run`] with explicit execution options. This is the single core the
-/// other `run*` entry points wrap: one [`Engine`] (hence one cache) for
-/// the whole file.
-pub fn run_with_options(
-    file: &PfqFile,
-    options: &RunOptions,
-) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    let mut engine = Engine::new();
-    let mut out = Vec::new();
-    for query in &file.queries {
-        out.push(run_query(file, query, options, &mut engine)?);
-    }
-    Ok(out)
-}
-
-fn run_query(
+/// Builds the request `query` maps to and hands it to `eval`. With
+/// `auto` set (the `pfq plan` view), exact and sample directives leave
+/// the strategy to the planner; `time-average` and `burn-in N` always
+/// pin their algorithm.
+fn with_request<T>(
     file: &PfqFile,
     query: &Query,
     options: &RunOptions,
-    engine: &mut Engine,
-) -> Result<QueryResult, Box<dyn std::error::Error>> {
-    let ctx = QueryContext::new(file, query)?;
-    let request = ctx.request(&file.database, query, options, false);
-    let outcome = engine.run(&request)?;
-    let value = match &query.semantics {
-        Semantics::InflationaryExact => {
-            let p = outcome.value.exact().expect("forced exact-tree plan");
-            format!("p = {p} (= {:.6}, exact)", p.to_f64())
+    auto: bool,
+    eval: impl FnOnce(&EvalRequest<'_>) -> Result<T, CoreError>,
+) -> Result<T, Box<dyn Error>> {
+    let event = Event::tuple_in(query.relation.clone(), query.tuple.clone());
+    let program = || {
+        file.program
+            .clone()
+            .ok_or_else(|| format!("{} queries need an @program block", query.family))
+    };
+    let datalog;
+    let forever;
+    let request = match query.family {
+        Family::Inflationary => {
+            datalog = DatalogQuery::new(program()?, event);
+            EvalRequest::inflationary(&datalog, &file.database)
         }
-        Semantics::NoninflationaryExact | Semantics::KernelExact => {
-            let p = outcome.value.exact().expect("forced exact-chain plan");
-            format!("p = {p} (= {:.6}, exact long-run)", p.to_f64())
+        Family::Noninflationary => {
+            datalog = DatalogQuery::new(program()?, event);
+            EvalRequest::noninflationary(&datalog, &file.database)
         }
-        Semantics::InflationarySample { epsilon, delta, .. } => {
-            let report = outcome.report.as_ref().expect("sampling plan");
-            format_report(report, format_args!("ε = {epsilon}, δ = {delta}"))
-        }
-        Semantics::TimeAverage { steps, .. } | Semantics::KernelTimeAverage { steps, .. } => {
-            format!(
-                "p ≈ {:.6} (time average over {steps} steps)",
-                outcome.value.to_f64()
-            )
-        }
-        Semantics::BurnIn {
-            burn_in,
-            epsilon,
-            delta,
-            ..
-        }
-        | Semantics::KernelBurnIn {
-            burn_in,
-            epsilon,
-            delta,
-            ..
-        } => {
-            let report = outcome.report.as_ref().expect("sampling plan");
-            format_report(
-                report,
-                format_args!("burn-in {burn_in}, ε = {epsilon}, δ = {delta}"),
-            )
+        Family::Kernel => {
+            let kernels = file
+                .kernels
+                .clone()
+                .ok_or("kernel queries need @kernel directives")?;
+            forever = ForeverQuery::new(kernels, event);
+            EvalRequest::forever(&forever, &file.database)
         }
     };
-    Ok(QueryResult {
-        directive: query.source.clone(),
-        value,
-        stats: options.stats.then(|| engine.stats().to_string()),
-        plan: options.explain.then(|| outcome.plan.to_string()),
-    })
+    let strategy = match query.strategy {
+        Strategy::ExactTree | Strategy::SampleFixpoint | Strategy::ExactChain if auto => {
+            Strategy::Auto
+        }
+        strategy => strategy,
+    };
+    let request = request
+        .with_strategy(strategy)
+        .with_epsilon_delta(query.epsilon, query.delta)
+        .with_seed(options.seed.unwrap_or(query.seed))
+        .with_threads(options.threads)
+        .with_adaptive(!options.no_adaptive);
+    Ok(eval(&request)?)
 }
 
-/// Parses and runs a `.pfq` source string.
-pub fn run_source(src: &str) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_source_with_options(src, &RunOptions::default())
-}
-
-/// [`run_source`] with explicit execution options.
-pub fn run_source_with_options(
-    src: &str,
-    options: &RunOptions,
-) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_with_options(&parse_file(src)?, options)
-}
-
-/// Parses and runs a `.pfq` file from disk.
-pub fn run_file(path: &std::path::Path) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_file_with_options(path, &RunOptions::default())
-}
-
-/// [`run_file`] with explicit execution options.
-pub fn run_file_with_options(
-    path: &std::path::Path,
-    options: &RunOptions,
-) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    run_source_with_options(&src, options)
+/// Runs every query of a parsed file on one [`Engine`] (hence one
+/// cache); results come back in file order.
+pub fn run(file: &PfqFile, options: &RunOptions) -> Result<Vec<QueryResult>, Box<dyn Error>> {
+    let mut engine = Engine::new();
+    file.queries
+        .iter()
+        .map(|query| {
+            let outcome = with_request(file, query, options, false, |r| engine.run(r))?;
+            Ok(QueryResult {
+                directive: query.source.clone(),
+                value: result_line(&outcome),
+                stats: options.stats.then(|| outcome.stats.to_string()),
+                plan: options.explain.then(|| outcome.plan.to_string()),
+            })
+        })
+        .collect()
 }
 
 /// Plans every query of a parsed file without executing anything,
@@ -369,57 +221,30 @@ pub fn run_file_with_options(
 /// exact-tree, a negation-free non-inflationary query as §5.1
 /// partitioning, …); `time-average` and `burn-in N` directives pin
 /// their algorithm. The rendering is deterministic — no wall times.
-pub fn plan_with_options(
-    file: &PfqFile,
-    options: &RunOptions,
-) -> Result<String, Box<dyn std::error::Error>> {
+pub fn plan(file: &PfqFile, options: &RunOptions) -> Result<String, Box<dyn Error>> {
     let mut engine = Engine::new();
     let mut out = String::new();
     for query in &file.queries {
-        let plan = plan_query(file, query, options, &mut engine)?;
+        let plan = with_request(file, query, options, true, |r| engine.plan(r))?;
         out.push_str(&query.source);
         out.push('\n');
-        for line in plan.lines() {
-            out.push_str("  ");
-            out.push_str(&line);
-            out.push('\n');
-        }
+        push_indented(&mut out, plan.lines());
     }
     Ok(out)
-}
-
-fn plan_query(
-    file: &PfqFile,
-    query: &Query,
-    options: &RunOptions,
-    engine: &mut Engine,
-) -> Result<Plan, Box<dyn std::error::Error>> {
-    let ctx = QueryContext::new(file, query)?;
-    let request = ctx.request(&file.database, query, options, true);
-    Ok(engine.plan(&request)?)
-}
-
-/// Parses and plans a `.pfq` source string (see [`plan_with_options`]).
-pub fn plan_source_with_options(
-    src: &str,
-    options: &RunOptions,
-) -> Result<String, Box<dyn std::error::Error>> {
-    plan_with_options(&parse_file(src)?, options)
-}
-
-/// Parses and plans a `.pfq` file from disk (see [`plan_with_options`]).
-pub fn plan_file_with_options(
-    path: &std::path::Path,
-    options: &RunOptions,
-) -> Result<String, Box<dyn std::error::Error>> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    plan_source_with_options(&src, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::parse_file;
+
+    fn run_src(src: &str, options: &RunOptions) -> Result<Vec<QueryResult>, Box<dyn Error>> {
+        run(&parse_file(src)?, options)
+    }
+
+    fn plan_src(src: &str) -> String {
+        plan(&parse_file(src).unwrap(), &RunOptions::default()).unwrap()
+    }
 
     const FORK: &str = r#"
 @relation E(i, j, p) {
@@ -437,7 +262,7 @@ mod tests {
 
     #[test]
     fn inflationary_modes_run() {
-        let results = run_source(FORK).unwrap();
+        let results = run_src(FORK, &RunOptions::default()).unwrap();
         assert_eq!(results.len(), 2);
         assert!(
             results[0].value.starts_with("p = 1/2"),
@@ -474,7 +299,7 @@ mod tests {
 @query noninflationary time-average steps 20000 seed 2 event C(1)
 @query noninflationary burn-in 50 epsilon 0.1 delta 0.05 seed 2 event C(1)
 "#;
-        let results = run_source(src).unwrap();
+        let results = run_src(src, &RunOptions::default()).unwrap();
         assert_eq!(results.len(), 3);
         // Walk: 0 → 1; 1 → {0, 1} uniformly. π(1) = 2/3.
         assert!(
@@ -507,7 +332,7 @@ mod tests {
 }
 @query inflationary exact event Done
 "#;
-        let results = run_source(src).unwrap();
+        let results = run_src(src, &RunOptions::default()).unwrap();
         assert!(
             results[0].value.starts_with("p = 1 "),
             "{}",
@@ -533,7 +358,7 @@ mod tests {
 @query kernel time-average steps 20000 seed 3 event C(1)
 @query kernel burn-in 50 epsilon 0.1 delta 0.05 seed 3 event C(1)
 "#;
-        let results = run_source(src).unwrap();
+        let results = run_src(src, &RunOptions::default()).unwrap();
         assert_eq!(results.len(), 3);
         assert!(
             results[0].value.starts_with("p = 2/3"),
@@ -556,29 +381,41 @@ mod tests {
     #[test]
     fn kernel_query_without_kernels_errors() {
         let src = "@program {\nC(1).\n}\n@query kernel exact event C(1)";
-        let err = run_source(src).unwrap_err().to_string();
+        let err = run_src(src, &RunOptions::default())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("@kernel"), "{err}");
         // And datalog queries without a program error too.
         let src = "@kernel C := project[i](C)\n@query inflationary exact event C(1)";
-        let err = run_source(src).unwrap_err().to_string();
+        let err = run_src(src, &RunOptions::default())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("@program"), "{err}");
     }
 
     #[test]
     fn bad_files_error_cleanly() {
-        assert!(run_source(
-            "@program {\nC(X) :- Missing(X).\n}\n@query inflationary exact event C(1)"
+        assert!(run_src(
+            "@program {\nC(X) :- Missing(X).\n}\n@query inflationary exact event C(1)",
+            &RunOptions::default()
         )
         .is_err());
-        assert!(run_source("no directives").is_err());
+        assert!(run_src("no directives", &RunOptions::default()).is_err());
     }
 
     #[test]
     fn options_reproduce_estimates_across_thread_counts() {
-        let one = RunOptions::default().with_threads(1).with_seed(99);
-        let four = one.clone().with_threads(4);
-        let a = run_source_with_options(FORK, &one).unwrap();
-        let b = run_source_with_options(FORK, &four).unwrap();
+        let one = RunOptions {
+            threads: 1,
+            seed: Some(99),
+            ..RunOptions::default()
+        };
+        let four = RunOptions {
+            threads: 4,
+            ..one.clone()
+        };
+        let a = run_src(FORK, &one).unwrap();
+        let b = run_src(FORK, &four).unwrap();
         // The sampled line is identical up to the wall-time stat.
         let head = |v: &str| v.split(';').next().unwrap().to_string();
         assert_eq!(head(&a[1].value), head(&b[1].value), "\n{a:?}\n{b:?}");
@@ -586,8 +423,11 @@ mod tests {
 
     #[test]
     fn no_adaptive_draws_full_hoeffding_count() {
-        let options = RunOptions::default().with_no_adaptive(true);
-        let results = run_source_with_options(FORK, &options).unwrap();
+        let options = RunOptions {
+            no_adaptive: true,
+            ..RunOptions::default()
+        };
+        let results = run_src(FORK, &options).unwrap();
         // ε = δ = 0.05 → m = ⌈ln(40)/0.005⌉ = 738 samples, never fewer.
         assert!(
             results[1].value.contains("738 samples"),
@@ -612,9 +452,12 @@ mod tests {
 @query inflationary exact event C(w)
 @query inflationary exact event C(u)
 "#;
-        let options = RunOptions::default().with_stats(true);
-        let a = run_source_with_options(src, &options).unwrap();
-        let b = run_source_with_options(src, &options).unwrap();
+        let options = RunOptions {
+            stats: true,
+            ..RunOptions::default()
+        };
+        let a = run_src(src, &options).unwrap();
+        let b = run_src(src, &options).unwrap();
         assert_eq!(a, b, "stats output must be deterministic");
         let first = a[0].stats.as_deref().unwrap();
         let second = a[1].stats.as_deref().unwrap();
@@ -624,50 +467,18 @@ mod tests {
         assert!(second.contains("results 1 hit / 1 miss"), "{second}");
         // Rendering includes the stats lines; without --stats it doesn't.
         assert!(render_results(&a).contains("  cache: states "));
-        let plain = run_source(src).unwrap();
+        let plain = run_src(src, &RunOptions::default()).unwrap();
         assert_eq!(plain[0].stats, None);
         assert!(!render_results(&plain).contains("cache:"));
     }
 
     #[test]
-    fn stationary_methods_give_identical_output() {
-        let src = r#"
-@relation E(i, j, p) {
-  (0, 1, 1)
-  (1, 0, 1)
-  (1, 1, 1)
-}
-@relation C(c0) {
-  (0)
-}
-@program {
-  C(Y) @P :- C(X), E(X, Y, P).
-}
-@query noninflationary exact event C(1)
-"#;
-        let dense = RunOptions::default().with_stationary_method(StationaryMethod::DenseReference);
-        let gth = RunOptions::default().with_stationary_method(StationaryMethod::SparseGth);
-        assert_eq!(
-            run_source_with_options(src, &dense).unwrap(),
-            run_source_with_options(src, &gth).unwrap()
-        );
-    }
-
-    #[test]
-    fn run_file_reads_from_disk() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("pfq_cli_runner_test.pfq");
-        std::fs::write(&path, FORK).unwrap();
-        let results = run_file(&path).unwrap();
-        assert_eq!(results.len(), 2);
-        std::fs::remove_file(&path).ok();
-        assert!(run_file(std::path::Path::new("/nonexistent/x.pfq")).is_err());
-    }
-
-    #[test]
     fn explain_attaches_the_executed_plan() {
-        let options = RunOptions::default().with_explain(true);
-        let results = run_source_with_options(FORK, &options).unwrap();
+        let options = RunOptions {
+            explain: true,
+            ..RunOptions::default()
+        };
+        let results = run_src(FORK, &options).unwrap();
         let exact_plan = results[0].plan.as_deref().unwrap();
         assert!(exact_plan.starts_with("plan: exact-tree"), "{exact_plan}");
         assert!(exact_plan.contains("strategy fixed by caller"));
@@ -679,12 +490,12 @@ mod tests {
         // Rendering indents every plan line under the directive.
         assert!(render_results(&results).contains("\n  plan: exact-tree"));
         // Without --explain, no plan is attached.
-        assert_eq!(run_source(FORK).unwrap()[0].plan, None);
+        assert_eq!(run_src(FORK, &RunOptions::default()).unwrap()[0].plan, None);
     }
 
     #[test]
-    fn plan_source_shows_auto_analysis() {
-        let rendered = plan_source_with_options(FORK, &RunOptions::default()).unwrap();
+    fn plan_shows_auto_analysis() {
+        let rendered = plan_src(FORK);
         // The exact directive plans as exact-tree after the probe…
         assert!(rendered.contains("plan: exact-tree"), "{rendered}");
         // …and the *sample* directive does too: the planner sees the
@@ -697,10 +508,7 @@ mod tests {
         // Nothing was executed, so the output carries no result lines.
         assert!(!rendered.contains("p ="), "{rendered}");
         // Planning is deterministic.
-        assert_eq!(
-            rendered,
-            plan_source_with_options(FORK, &RunOptions::default()).unwrap()
-        );
+        assert_eq!(rendered, plan_src(FORK));
     }
 
     #[test]
@@ -720,7 +528,7 @@ mod tests {
 @query noninflationary time-average steps 20000 seed 2 event C(1)
 @query noninflationary burn-in 50 epsilon 0.1 delta 0.05 seed 2 event C(1)
 "#;
-        let rendered = plan_source_with_options(src, &RunOptions::default()).unwrap();
+        let rendered = plan_src(src);
         assert!(rendered.contains("plan: time-average"), "{rendered}");
         assert!(rendered.contains("steps: 20000"), "{rendered}");
         assert!(rendered.contains("plan: burn-in-sample"), "{rendered}");

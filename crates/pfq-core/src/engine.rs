@@ -13,7 +13,7 @@
 //! ```
 //!
 //! * [`EvalRequest`] names the task (which query over which input) plus
-//!   budgets, seed and solver overrides, built fluently.
+//!   budgets, seed and sampling knobs, built fluently.
 //! * [`Planner`] analyzes the request — negation-freedom and §5.1
 //!   partitioning eligibility, chain/tree size probes against the
 //!   budgets, `auto_burn_in` wiring — and emits an explainable [`Plan`]
@@ -191,7 +191,6 @@ pub struct EvalRequest<'a> {
     adaptive: bool,
     epsilon: f64,
     delta: f64,
-    method: StationaryMethod,
 }
 
 impl<'a> EvalRequest<'a> {
@@ -206,7 +205,6 @@ impl<'a> EvalRequest<'a> {
             adaptive: true,
             epsilon: 0.05,
             delta: 0.05,
-            method: StationaryMethod::default(),
         }
     }
 
@@ -281,12 +279,6 @@ impl<'a> EvalRequest<'a> {
         self
     }
 
-    /// Sets the exact linear-algebra backend for long-run solves.
-    pub fn with_stationary_method(mut self, method: StationaryMethod) -> Self {
-        self.method = method;
-        self
-    }
-
     fn sampler_config(&self) -> SamplerConfig {
         SamplerConfig {
             seed: self.seed,
@@ -320,7 +312,8 @@ pub enum PlanAction {
     ExactChain {
         /// State/world budgets for chain construction.
         budget: ChainBudget,
-        /// Exact linear-algebra backend.
+        /// Exact linear-algebra backend; the planner always picks the
+        /// default, sparse GTH.
         method: StationaryMethod,
     },
     /// §5.1 partitioned evaluation, one chain per independence class.
@@ -329,7 +322,8 @@ pub enum PlanAction {
         classes: usize,
         /// Per-class chain budget.
         budget: ChainBudget,
-        /// Exact linear-algebra backend for the per-class solves.
+        /// Exact linear-algebra backend for the per-class solves; the
+        /// planner always picks the default, sparse GTH.
         method: StationaryMethod,
     },
     /// Single-walk time average.
@@ -601,10 +595,11 @@ impl Planner {
             action,
             notes,
         };
-        let mismatch = |strategy: &str| {
-            Err(CoreError::BadParameter(format!(
-                "strategy {strategy} does not apply to a {kind}"
-            )))
+        let mismatch = |strategy| {
+            Err(CoreError::Mismatch {
+                action: strategy,
+                task: kind,
+            })
         };
         match (request.strategy, &request.task) {
             (Strategy::Auto, _) => unreachable!("handled by Planner::plan"),
@@ -634,7 +629,7 @@ impl Planner {
                 Ok(plan(
                     PlanAction::ExactChain {
                         budget: request.chain_budget,
-                        method: request.method,
+                        method: StationaryMethod::default(),
                     },
                     vec![fixed],
                 ))
@@ -646,7 +641,7 @@ impl Planner {
                     PlanAction::Partitioned {
                         classes: classes.len(),
                         budget: request.chain_budget,
-                        method: request.method,
+                        method: StationaryMethod::default(),
                     },
                     vec![fixed],
                 ))
@@ -695,22 +690,16 @@ impl Planner {
         request: &EvalRequest<'_>,
         notes: &mut Vec<String>,
     ) -> Result<usize, CoreError> {
-        let translated;
-        let (fq, db): (&crate::ForeverQuery, &Database) = match &request.task {
-            Task::Forever { query, db } => (query, db),
-            Task::Noninflationary { query, db } => {
-                translated = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-                (&translated.0, &translated.1)
-            }
-            _ => unreachable!("burn-in applies to non-inflationary tasks only"),
-        };
-        match mixing_sampler::auto_burn_in(
-            fq,
-            db,
-            request.epsilon,
-            AUTO_MIXING_MAX_T,
-            request.chain_budget,
-        ) {
+        let mixing = on_forever("burn-in-sample", &request.task, |fq, db| {
+            mixing_sampler::auto_burn_in(
+                fq,
+                db,
+                request.epsilon,
+                AUTO_MIXING_MAX_T,
+                request.chain_budget,
+            )
+        });
+        match mixing {
             Ok(Some(t)) => {
                 notes.push(format!(
                     "auto burn-in: t({}) = {t} measured on the explicit chain",
@@ -829,7 +818,7 @@ impl Planner {
                             action: PlanAction::Partitioned {
                                 classes: classes.len(),
                                 budget: request.chain_budget,
-                                method: request.method,
+                                method: StationaryMethod::default(),
                             },
                             notes,
                         });
@@ -868,7 +857,7 @@ impl Planner {
                     task: kind,
                     action: PlanAction::ExactChain {
                         budget: request.chain_budget,
-                        method: request.method,
+                        method: StationaryMethod::default(),
                     },
                     notes,
                 })
@@ -925,14 +914,7 @@ impl Engine {
     pub fn run(&mut self, request: &EvalRequest<'_>) -> Result<EvalOutcome, CoreError> {
         let start = Instant::now();
         let plan = Planner::plan(request, &mut self.cache)?;
-        let (value, report) = execute_action(request, &plan, &mut self.cache)?;
-        Ok(EvalOutcome {
-            value,
-            plan,
-            report,
-            stats: self.cache.stats(),
-            wall: start.elapsed(),
-        })
+        self.finish(request, plan, start)
     }
 
     /// Executes a previously computed plan (plans are self-contained —
@@ -943,10 +925,21 @@ impl Engine {
         plan: &Plan,
     ) -> Result<EvalOutcome, CoreError> {
         let start = Instant::now();
-        let (value, report) = execute_action(request, plan, &mut self.cache)?;
+        self.finish(request, plan.clone(), start)
+    }
+
+    /// Executes `plan` and assembles its outcome, with `wall` measured
+    /// from `start`: the one outcome assembly behind `run` and `execute`.
+    fn finish(
+        &mut self,
+        request: &EvalRequest<'_>,
+        plan: Plan,
+        start: Instant,
+    ) -> Result<EvalOutcome, CoreError> {
+        let (value, report) = execute_action(request, &plan, &mut self.cache)?;
         Ok(EvalOutcome {
             value,
-            plan: plan.clone(),
+            plan,
             report,
             stats: self.cache.stats(),
             wall: start.elapsed(),
@@ -991,17 +984,10 @@ fn execute_action(
             )?;
             Ok((EvalValue::Estimate(report.estimate), Some(report)))
         }
-        (PlanAction::ExactChain { budget, method }, Task::Noninflationary { query, db }) => {
-            let (fq, prepared) = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-            let p = exact_noninflationary::eval_with_cache_and_method(
-                &fq, &prepared, *budget, cache, *method,
-            )?;
-            Ok((EvalValue::Exact(p), None))
-        }
-        (PlanAction::ExactChain { budget, method }, Task::Forever { query, db }) => {
-            let p = exact_noninflationary::eval_with_cache_and_method(
-                query, db, *budget, cache, *method,
-            )?;
+        (PlanAction::ExactChain { budget, method }, task) => {
+            let p = on_forever("exact-chain", task, |fq, db| {
+                exact_noninflationary::eval_with_cache_and_method(fq, db, *budget, cache, *method)
+            })?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::Partitioned { budget, method, .. }, Task::Noninflationary { query, db }) => {
@@ -1009,21 +995,10 @@ fn execute_action(
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::TimeAverage { steps, seed }, task) => {
-            let translated;
-            let (fq, db): (&crate::ForeverQuery, &Database) = match task {
-                Task::Forever { query, db } => (query, db),
-                Task::Noninflationary { query, db } => {
-                    translated = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-                    (&translated.0, &translated.1)
-                }
-                _ => {
-                    return Err(CoreError::BadParameter(
-                        "time-average plan does not match an inflationary task".into(),
-                    ))
-                }
-            };
             let mut rng = ChaCha8Rng::seed_from_u64(*seed);
-            let avg = mixing_sampler::evaluate_time_average(fq, db, *steps, &mut rng)?;
+            let avg = on_forever("time-average", task, |fq, db| {
+                mixing_sampler::evaluate_time_average(fq, db, *steps, &mut rng)
+            })?;
             Ok((EvalValue::Estimate(avg), None))
         }
         (
@@ -1035,29 +1010,38 @@ fn execute_action(
             },
             task,
         ) => {
-            let translated;
-            let (fq, db): (&crate::ForeverQuery, &Database) = match task {
-                Task::Forever { query, db } => (query, db),
-                Task::Noninflationary { query, db } => {
-                    translated = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-                    (&translated.0, &translated.1)
-                }
-                _ => {
-                    return Err(CoreError::BadParameter(
-                        "burn-in plan does not match an inflationary task".into(),
-                    ))
-                }
-            };
-            let report = mixing_sampler::evaluate_with_burn_in_config(
-                fq, db, *burn_in, *epsilon, *delta, &config,
-            )?;
+            let report = on_forever("burn-in-sample", task, |fq, db| {
+                mixing_sampler::evaluate_with_burn_in_config(
+                    fq, db, *burn_in, *epsilon, *delta, &config,
+                )
+            })?;
             Ok((EvalValue::Estimate(report.estimate), Some(report)))
         }
-        (action, task) => Err(CoreError::BadParameter(format!(
-            "plan {} does not match a {}",
-            action.name(),
-            task.kind()
-        ))),
+        (action, task) => Err(CoreError::Mismatch {
+            action: action.name(),
+            task: task.kind(),
+        }),
+    }
+}
+
+/// Runs `eval` on the forever-query a non-inflationary task denotes: a
+/// raw-kernel task as given, a datalog task after its Definition 3.2
+/// translation. `action` on an inflationary task is a mismatch.
+fn on_forever<T>(
+    action: &'static str,
+    task: &Task<'_>,
+    eval: impl FnOnce(&crate::ForeverQuery, &Database) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    match task {
+        Task::Forever { query, db } => eval(query, db),
+        Task::Noninflationary { query, db } => {
+            let (fq, prepared) = query.to_forever_query(db).map_err(CoreError::Datalog)?;
+            eval(&fq, &prepared)
+        }
+        _ => Err(CoreError::Mismatch {
+            action,
+            task: task.kind(),
+        }),
     }
 }
 
@@ -1209,11 +1193,49 @@ mod tests {
         let err = engine
             .run(&EvalRequest::forever(&fq, &prepared).with_strategy(Strategy::ExactTree))
             .unwrap_err();
-        assert!(matches!(err, CoreError::BadParameter(_)), "{err}");
+        assert_eq!(
+            err,
+            CoreError::Mismatch {
+                action: "exact-tree",
+                task: TaskKind::Forever
+            }
+        );
         let err = engine
             .run(&EvalRequest::inflationary(&query, &db).with_strategy(Strategy::Partitioned))
             .unwrap_err();
-        assert!(matches!(err, CoreError::BadParameter(_)), "{err}");
+        assert_eq!(
+            err,
+            CoreError::Mismatch {
+                action: "partitioned",
+                task: TaskKind::Inflationary
+            }
+        );
+        assert!(err
+            .to_string()
+            .contains("strategy partitioned does not apply"));
+    }
+
+    #[test]
+    fn forever_plans_on_inflationary_tasks_are_mismatches() {
+        let (query, db) = coin_case();
+        let (fq, prepared) = query.to_forever_query(&db).unwrap();
+        let mut engine = Engine::new();
+        let inflationary = EvalRequest::inflationary(&query, &db);
+        for strategy in [
+            Strategy::ExactChain,
+            Strategy::TimeAverage { steps: 10 },
+            Strategy::BurnInSample { burn_in: Some(2) },
+        ] {
+            let forever = EvalRequest::forever(&fq, &prepared).with_strategy(strategy);
+            let plan = engine.plan(&forever).unwrap();
+            assert_eq!(
+                engine.execute(&inflationary, &plan).unwrap_err(),
+                CoreError::Mismatch {
+                    action: plan.action.name(),
+                    task: TaskKind::Inflationary
+                }
+            );
+        }
     }
 
     #[test]
@@ -1298,7 +1320,13 @@ mod tests {
         // Mismatched plan/task pairs are rejected.
         let (cq, cdb) = coin_case();
         let bad = EvalRequest::noninflationary(&cq, &cdb);
-        assert!(engine.execute(&bad, &first.plan).is_err());
+        assert_eq!(
+            engine.execute(&bad, &first.plan).unwrap_err(),
+            CoreError::Mismatch {
+                action: "exact-tree",
+                task: TaskKind::Noninflationary
+            }
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The unified error type of the query-evaluation layer.
 
+use crate::engine::TaskKind;
 use pfq_algebra::AlgebraError;
 use pfq_ctable::CtableError;
 use pfq_datalog::DatalogError;
@@ -21,6 +22,14 @@ pub enum CoreError {
     Analysis(String),
     /// Invalid evaluation parameters (ε, δ, budgets).
     BadParameter(String),
+    /// A strategy or plan action applied to a task it does not fit,
+    /// e.g. an exact chain for an inflationary query.
+    Mismatch {
+        /// The strategy or plan action, by its kebab-case name.
+        action: &'static str,
+        /// The task it was applied to.
+        task: TaskKind,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -32,6 +41,9 @@ impl fmt::Display for CoreError {
             CoreError::Ctable(e) => write!(f, "{e}"),
             CoreError::Analysis(msg) => write!(f, "{msg}"),
             CoreError::BadParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            CoreError::Mismatch { action, task } => {
+                write!(f, "strategy {action} does not apply to a {task}")
+            }
         }
     }
 }

@@ -303,30 +303,31 @@ mod tests {
         assert!(evaluate(&q, &db, ChainBudget::default()).unwrap().is_one());
     }
 
-    /// A forced exact-chain request under the given solver.
-    fn exact_chain<'a>(
-        q: &'a ForeverQuery,
-        db: &'a Database,
-        method: StationaryMethod,
-    ) -> EvalRequest<'a> {
-        EvalRequest::forever(q, db)
-            .with_strategy(Strategy::ExactChain)
-            .with_stationary_method(method)
+    /// A forced exact-chain request.
+    fn exact_chain<'a>(q: &'a ForeverQuery, db: &'a Database) -> EvalRequest<'a> {
+        EvalRequest::forever(q, db).with_strategy(Strategy::ExactChain)
     }
 
     #[test]
     fn engine_and_reference_agree() {
         let mut engine = Engine::new();
+        // The oracle explores its own Database-keyed chain and solves it
+        // densely; the engine explores interned states and solves by GTH.
         for target in [1, 2, 3, 99] {
             let (q, db) = walk_query(target);
-            let method = StationaryMethod::default();
             assert_eq!(
                 engine
-                    .run(&exact_chain(&q, &db, method))
+                    .run(&exact_chain(&q, &db))
                     .unwrap()
                     .into_exact()
                     .unwrap(),
-                reference::exact_chain(&q, &db, ChainBudget::default(), method).unwrap(),
+                reference::exact_chain(
+                    &q,
+                    &db,
+                    ChainBudget::default(),
+                    StationaryMethod::DenseReference
+                )
+                .unwrap(),
             );
         }
     }
@@ -352,37 +353,17 @@ mod tests {
     }
 
     #[test]
-    fn stationary_methods_agree_end_to_end() {
-        for target in [1, 2, 3, 99] {
-            let (q, db) = walk_query(target);
-            let [dense, sparse] = [
-                StationaryMethod::DenseReference,
-                StationaryMethod::SparseGth,
-            ]
-            .map(|method| {
-                Engine::new()
-                    .run(&exact_chain(&q, &db, method))
-                    .unwrap()
-                    .into_exact()
-                    .unwrap()
-            });
-            assert_eq!(dense, sparse);
-        }
-    }
-
-    #[test]
     fn kernel_rows_are_reused_across_evaluations() {
         let (q1, db) = walk_query(1);
-        let method = StationaryMethod::default();
         let mut engine = Engine::new();
-        engine.run(&exact_chain(&q1, &db, method)).unwrap();
+        engine.run(&exact_chain(&q1, &db)).unwrap();
         let cold = engine.stats();
         assert_eq!(cold.kernel_hits, 0);
         assert_eq!(cold.kernel_misses, 3);
         assert_eq!(cold.db_states, 3);
         // Same kernel, different event: every row is served from the memo.
         let (q2, _) = walk_query(2);
-        let outcome = engine.run(&exact_chain(&q2, &db, method)).unwrap();
+        let outcome = engine.run(&exact_chain(&q2, &db)).unwrap();
         assert_eq!(outcome.into_exact().unwrap(), Ratio::new(1, 4));
         let warm = engine.stats();
         assert_eq!(warm.kernel_hits, 3);

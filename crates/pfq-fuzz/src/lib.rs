@@ -3,7 +3,7 @@
 //! Grammar-aware differential fuzzer for the PFQ query languages.
 //!
 //! The repro's evaluators — exact inflationary (Prop. 4.4), memoized,
-//! Theorem 4.3 sampling, dense/GTH non-inflationary (Thm. 5.5),
+//! Theorem 4.3 sampling, engine and reference non-inflationary (Thm. 5.5),
 //! §5.1 partitioned, Theorem 5.6 burn-in sampling — implement the *same*
 //! paper semantics through very different code paths. This crate
 //! generates thousands of random valid probabilistic programs

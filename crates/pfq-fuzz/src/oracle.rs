@@ -11,10 +11,10 @@
 //! | `CacheReuse` | fresh memo vs campaign-shared memo | intern-id independence: same distribution |
 //! | `SamplerBound` | exact vs Thm 4.3 sampler | `\|p̂ − p\| ≤ ε` at confidence `1 − δ` (deterministic seed) |
 //! | `ThreadInvariance` | sampler at 1 vs 3 threads | bit-identical estimates for the same seed |
-//! | `StationaryDifferential` | dense GE vs sparse GTH (Thm 5.5) | bit-identical long-run probabilities |
+//! | `StationaryDifferential` | engine exact chain (interned, GTH) vs reference exact chain (`Database`-keyed, dense GE) (Thm 5.5) | bit-identical long-run probabilities |
 //! | `PartitionDifferential` | §5.1 partitioned vs whole chain | identical exact probabilities (negation-free only) |
 //! | `BurnInConsistency` | Thm 5.6 restart sampler vs exact `P^B` mass | `\|p̂ − p_B\| ≤ ε` at confidence `1 − δ` |
-//! | `PlannerDifferential` | engine `Strategy::Auto` vs every forced-eligible exact path | bit-identical exact probabilities |
+//! | `PlannerDifferential` | engine `Strategy::Auto` vs every forced-eligible exact path and the reference exact chain | bit-identical exact probabilities |
 //!
 //! Budget exhaustion on a path is a *skip*, not a failure; any other
 //! disagreement (including one path erroring where its twin succeeds)
@@ -50,7 +50,9 @@ pub enum CheckId {
     SamplerBound,
     /// Same seed ⇒ bit-identical estimates at any thread count.
     ThreadInvariance,
-    /// Dense and GTH stationary solvers agree bit-for-bit.
+    /// The engine's exact chain (interned states, sparse GTH) agrees
+    /// bit-for-bit with the reference oracle (`Database`-keyed chain,
+    /// dense solver).
     StationaryDifferential,
     /// §5.1 partitioned evaluation equals whole-chain evaluation.
     PartitionDifferential,
@@ -100,7 +102,7 @@ pub struct PathSet {
     pub inflationary: bool,
     /// Sampling paths (Hoeffding bound, thread invariance).
     pub sampling: bool,
-    /// Exact non-inflationary paths (dense vs GTH).
+    /// Exact non-inflationary paths (engine vs reference chain).
     pub noninflationary: bool,
     /// §5.1 partitioned vs whole.
     pub partition: bool,
@@ -519,32 +521,37 @@ impl Oracle {
             Ok(t) => t,
             Err(e) => return Outcome::Skip(format!("no non-inflationary translation: {e}")),
         };
-        let eval = |method: StationaryMethod| {
-            Engine::new()
-                .run(
-                    &EvalRequest::forever(&fq, &prepared)
-                        .with_strategy(Strategy::ExactChain)
-                        .with_chain_budget(self.cfg.chain_budget)
-                        .with_stationary_method(method),
-                )?
-                .into_exact()
-        };
-        match (
-            eval(StationaryMethod::DenseReference),
-            eval(StationaryMethod::SparseGth),
-        ) {
-            (Ok(dense), Ok(gth)) => {
+        let engine = Engine::new()
+            .run(
+                &EvalRequest::forever(&fq, &prepared)
+                    .with_strategy(Strategy::ExactChain)
+                    .with_chain_budget(self.cfg.chain_budget),
+            )
+            .and_then(|o| o.into_exact());
+        let oracle = reference::exact_chain(
+            &fq,
+            &prepared,
+            self.cfg.chain_budget,
+            StationaryMethod::DenseReference,
+        );
+        match (engine, oracle) {
+            (Ok(gth), Ok(dense)) => {
                 if dense == gth {
                     Outcome::Pass
                 } else {
                     Outcome::Fail(format!(
-                        "dense long-run probability {dense} differs from GTH {gth}"
+                        "reference (dense) long-run probability {dense} differs from \
+                         engine (GTH) {gth}"
                     ))
                 }
             }
             (Err(a), Err(_)) => Outcome::Skip(format!("chain unavailable: {a}")),
-            (Err(e), Ok(_)) => Outcome::Fail(format!("dense errored where GTH succeeded: {e}")),
-            (Ok(_), Err(e)) => Outcome::Fail(format!("GTH errored where dense succeeded: {e}")),
+            (Err(e), Ok(_)) => {
+                Outcome::Fail(format!("engine errored where reference succeeded: {e}"))
+            }
+            (Ok(_), Err(e)) => {
+                Outcome::Fail(format!("reference errored where engine succeeded: {e}"))
+            }
         }
     }
 
@@ -702,8 +709,9 @@ impl Oracle {
             skips.push("inflationary probe over budget: planner chose sampling".to_string());
         }
 
-        // Non-inflationary task: Auto vs forced exact-chain (both
-        // solvers) and forced §5.1 partitioning.
+        // Non-inflationary task: Auto vs forced exact-chain, the
+        // reference exact chain (own explorer, dense solver) and forced
+        // §5.1 partitioning.
         let request =
             EvalRequest::noninflationary(&query, &case.db).with_chain_budget(self.cfg.chain_budget);
         let mut engine = Engine::new();
@@ -733,34 +741,34 @@ impl Oracle {
             .value
             .exact()
             .expect("exact plan yields an exact value");
-        let mut forced: Vec<(&str, Strategy, StationaryMethod)> = vec![
-            (
-                "forced exact-chain (dense)",
-                Strategy::ExactChain,
-                StationaryMethod::DenseReference,
-            ),
-            (
-                "forced exact-chain (gth)",
-                Strategy::ExactChain,
-                StationaryMethod::SparseGth,
-            ),
-        ];
-        if !case.program.has_negation() {
-            forced.push((
-                "forced partitioned",
-                Strategy::Partitioned,
-                StationaryMethod::SparseGth,
-            ));
-        }
-        for (label, strategy, method) in forced {
-            let result = Engine::new()
+        let forced = |strategy| {
+            Engine::new()
                 .run(
                     &EvalRequest::noninflationary(&query, &case.db)
                         .with_strategy(strategy)
-                        .with_chain_budget(self.cfg.chain_budget)
-                        .with_stationary_method(method),
+                        .with_chain_budget(self.cfg.chain_budget),
                 )
-                .and_then(|o| o.into_exact());
+                .and_then(|o| o.into_exact())
+        };
+        let oracle = query
+            .to_forever_query(&case.db)
+            .map_err(CoreError::Datalog)
+            .and_then(|(fq, prepared)| {
+                reference::exact_chain(
+                    &fq,
+                    &prepared,
+                    self.cfg.chain_budget,
+                    StationaryMethod::DenseReference,
+                )
+            });
+        let mut results = vec![
+            ("forced exact-chain", forced(Strategy::ExactChain)),
+            ("reference exact-chain (dense)", oracle),
+        ];
+        if !case.program.has_negation() {
+            results.push(("forced partitioned", forced(Strategy::Partitioned)));
+        }
+        for (label, result) in results {
             match result {
                 Ok(p) if p == *p_auto => compared += 1,
                 Ok(p) => {

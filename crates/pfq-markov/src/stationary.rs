@@ -10,8 +10,9 @@ use std::fmt;
 ///
 /// Both are exact over [`Ratio`] and return bit-identical results; they
 /// differ only in cost. [`SparseGth`](StationaryMethod::SparseGth) is the
-/// default everywhere; [`DenseReference`](StationaryMethod::DenseReference)
-/// is kept as the differential-testing oracle and for A/B timing.
+/// one production solver; [`DenseReference`](StationaryMethod::DenseReference)
+/// is the independent oracle of differential tests, reached through the
+/// `*_with` functions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum StationaryMethod {
     /// Dense rational Gaussian elimination ([`crate::linalg`]):
@@ -21,17 +22,6 @@ pub enum StationaryMethod {
     /// near-linear on the bounded-row-width chains datalog kernels induce.
     #[default]
     SparseGth,
-}
-
-impl StationaryMethod {
-    /// Parses a CLI spelling: `"dense"` or `"gth"`.
-    pub fn parse(s: &str) -> Option<StationaryMethod> {
-        match s {
-            "dense" => Some(StationaryMethod::DenseReference),
-            "gth" => Some(StationaryMethod::SparseGth),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for StationaryMethod {
@@ -237,22 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn method_parse_and_display_round_trip() {
-        assert_eq!(
-            StationaryMethod::parse("dense"),
-            Some(StationaryMethod::DenseReference)
-        );
-        assert_eq!(
-            StationaryMethod::parse("gth"),
-            Some(StationaryMethod::SparseGth)
-        );
-        assert_eq!(StationaryMethod::parse("nope"), None);
-        for m in [
-            StationaryMethod::DenseReference,
-            StationaryMethod::SparseGth,
-        ] {
-            assert_eq!(StationaryMethod::parse(&m.to_string()), Some(m));
-        }
+    fn method_display_and_default() {
+        assert_eq!(StationaryMethod::DenseReference.to_string(), "dense");
+        assert_eq!(StationaryMethod::SparseGth.to_string(), "gth");
         assert_eq!(StationaryMethod::default(), StationaryMethod::SparseGth);
     }
 

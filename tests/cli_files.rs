@@ -1,9 +1,8 @@
 //! The `.pfq` example files in the repository stay valid and produce the
 //! documented exact answers.
 
-use pfq_cli::{
-    plan_file_with_options, render_results, run_file, run_file_with_options, RunOptions,
-};
+use pfq_cli::{read_file, render_results, QueryResult, RunOptions};
+use std::error::Error;
 use std::path::Path;
 
 fn repo_example(name: &str) -> std::path::PathBuf {
@@ -12,9 +11,14 @@ fn repo_example(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
+/// Reads and runs a `.pfq` file, as `pfq run` does.
+fn run(path: &Path, options: &RunOptions) -> Result<Vec<QueryResult>, Box<dyn Error>> {
+    pfq_cli::run(&read_file(path)?, options)
+}
+
 #[test]
 fn fork_pfq_runs_with_documented_answers() {
-    let results = run_file(&repo_example("fork.pfq")).unwrap();
+    let results = run(&repo_example("fork.pfq"), &RunOptions::default()).unwrap();
     assert_eq!(results.len(), 2);
     // Weights 1:3 toward u, so Pr[w] = 1/4 exactly.
     assert!(
@@ -27,7 +31,7 @@ fn fork_pfq_runs_with_documented_answers() {
 
 #[test]
 fn pagerank_pfq_is_exact_and_sums_to_one() {
-    let results = run_file(&repo_example("pagerank.pfq")).unwrap();
+    let results = run(&repo_example("pagerank.pfq"), &RunOptions::default()).unwrap();
     assert_eq!(results.len(), 4);
     // The three exact long-run probabilities sum to 1.
     let mut total = pfq::num::Ratio::zero();
@@ -68,7 +72,7 @@ fn stats_demo_pfq_matches_golden_output() {
         stats: true,
         ..RunOptions::default()
     };
-    let results = run_file_with_options(&repo_example("stats_demo.pfq"), &options).unwrap();
+    let results = run(&repo_example("stats_demo.pfq"), &options).unwrap();
     let rendered = render_results(&results);
     let golden = std::fs::read_to_string(
         Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -126,8 +130,8 @@ fn every_example_pfq_matches_golden_output() {
             stats: stem == "stats_demo",
             ..RunOptions::default()
         };
-        let results = run_file_with_options(&path, &options)
-            .unwrap_or_else(|e| panic!("examples/{stem}.pfq failed: {e}"));
+        let results =
+            run(&path, &options).unwrap_or_else(|e| panic!("examples/{stem}.pfq failed: {e}"));
         let rendered = normalize(&render_results(&results));
         let golden_path = golden_dir.join(format!("{stem}.out"));
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -164,8 +168,12 @@ fn example_plans_match_golden_output() {
         .join("tests")
         .join("golden");
     for stem in ["coloring", "fork", "pagerank"] {
-        let options = RunOptions::default().with_threads(1);
-        let rendered = plan_file_with_options(&repo_example(&format!("{stem}.pfq")), &options)
+        let options = RunOptions {
+            threads: 1,
+            ..RunOptions::default()
+        };
+        let rendered = read_file(&repo_example(&format!("{stem}.pfq")))
+            .and_then(|file| pfq_cli::plan(&file, &options))
             .unwrap_or_else(|e| panic!("pfq plan examples/{stem}.pfq failed: {e}"));
         let golden_path = golden_dir.join(format!("plan_{stem}.out"));
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -196,8 +204,12 @@ fn example_explain_runs_match_golden_output() {
         .join("tests")
         .join("golden");
     for stem in ["coloring", "fork", "pagerank"] {
-        let options = RunOptions::default().with_threads(1).with_explain(true);
-        let results = run_file_with_options(&repo_example(&format!("{stem}.pfq")), &options)
+        let options = RunOptions {
+            threads: 1,
+            explain: true,
+            ..RunOptions::default()
+        };
+        let results = run(&repo_example(&format!("{stem}.pfq")), &options)
             .unwrap_or_else(|e| panic!("examples/{stem}.pfq --explain failed: {e}"));
         assert!(
             results.iter().all(|r| r.plan.is_some()),
@@ -225,7 +237,7 @@ fn example_explain_runs_match_golden_output() {
 
 #[test]
 fn coloring_pfq_is_uniform() {
-    let results = run_file(&repo_example("coloring.pfq")).unwrap();
+    let results = run(&repo_example("coloring.pfq"), &RunOptions::default()).unwrap();
     assert_eq!(results.len(), 2);
     assert!(
         results[0].value.starts_with("p = 1/3"),

@@ -64,9 +64,9 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
             (a, b) => panic!("case {i}: one exact-tree path errored: {a:?} vs {b:?}"),
         }
 
-        // Thm 5.5 exact chain: the engine's interned chain under both
-        // stationary solvers vs the oracle's Database-keyed chain solved
-        // by the dense reference.
+        // Thm 5.5 exact chain: the engine's interned chain solved by GTH
+        // vs the oracle's Database-keyed chain solved by the dense
+        // reference.
         if let Ok((fq, prepared)) = query.to_forever_query(&case.db) {
             let oracle_p = reference::exact_chain(
                 &fq,
@@ -74,26 +74,20 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
                 CHAIN_BUDGET,
                 StationaryMethod::DenseReference,
             );
-            for method in [
-                StationaryMethod::DenseReference,
-                StationaryMethod::SparseGth,
-            ] {
-                let p = Engine::new()
-                    .run(
-                        &EvalRequest::forever(&fq, &prepared)
-                            .with_strategy(Strategy::ExactChain)
-                            .with_chain_budget(CHAIN_BUDGET)
-                            .with_stationary_method(method),
-                    )
-                    .and_then(|outcome| outcome.into_exact());
-                match (p, &oracle_p) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, *b, "case {i}: exact chain diverged under {method:?}");
-                        chain_hits += 1;
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!("case {i}: one exact-chain path errored: {a:?} vs {b:?}"),
+            let p = Engine::new()
+                .run(
+                    &EvalRequest::forever(&fq, &prepared)
+                        .with_strategy(Strategy::ExactChain)
+                        .with_chain_budget(CHAIN_BUDGET),
+                )
+                .and_then(|outcome| outcome.into_exact());
+            match (p, &oracle_p) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, *b, "case {i}: exact chain diverged");
+                    chain_hits += 1;
                 }
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("case {i}: one exact-chain path errored: {a:?} vs {b:?}"),
             }
 
             // §5.1: the partitioned wrapper must still equal the whole
