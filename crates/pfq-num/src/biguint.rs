@@ -36,11 +36,10 @@ impl BigUint {
     }
 
     /// Builds from raw little-endian limbs, normalizing trailing zeros.
-    pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
-        BigUint { limbs }
+    pub fn from_limbs(limbs: Vec<u64>) -> Self {
+        let mut n = BigUint { limbs };
+        n.trim();
+        n
     }
 
     /// Borrow the little-endian limbs.
@@ -314,8 +313,52 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
+    /// `self -= other` in place; requires `self >= other`.
+    fn sub_assign_in_place(&mut self, other: &BigUint) {
+        let mut borrow = false;
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            if i >= other.limbs.len() && !borrow {
+                break;
+            }
+            let b = other.limbs.get(i).copied().unwrap_or(0);
+            let (d1, b1) = limb.overflowing_sub(b);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            *limb = d2;
+            borrow = b1 || b2;
+        }
+        debug_assert!(!borrow, "BigUint subtraction underflow");
+        self.trim();
+    }
+
+    /// `self >>= bits` in place.
+    fn shr_assign_bits(&mut self, bits: u64) {
+        let limb_shift = ((bits / 64) as usize).min(self.limbs.len());
+        self.limbs.drain(..limb_shift);
+        let bit_shift = (bits % 64) as u32;
+        if bit_shift != 0 {
+            for i in 0..self.limbs.len() {
+                let hi = self.limbs.get(i + 1).copied().unwrap_or(0);
+                self.limbs[i] = self.limbs[i] >> bit_shift | hi << (64 - bit_shift);
+            }
+        }
+        self.trim();
+    }
+
+    /// Drops trailing zero limbs, restoring the representation invariant.
+    fn trim(&mut self) {
+        while self.limbs.last() == Some(&0) {
+            self.limbs.pop();
+        }
+    }
+
     /// Greatest common divisor (binary/Stein algorithm).
+    ///
+    /// Operands of at most two limbs run in native `u128`; longer ones
+    /// subtract and shift in place until both fit two limbs.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
+        if let (Some(a), Some(b)) = (self.to_u128(), other.to_u128()) {
+            return BigUint::from(gcd_u128(a, b));
+        }
         if self.is_zero() {
             return other.clone();
         }
@@ -327,21 +370,22 @@ impl BigUint {
         let za = a.trailing_zeros().unwrap();
         let zb = b.trailing_zeros().unwrap();
         let common = za.min(zb);
-        a = a.shr_bits(za);
-        b = b.shr_bits(zb);
+        a.shr_assign_bits(za);
+        b.shr_assign_bits(zb);
         // Invariant: a, b both odd.
-        loop {
+        while a.limbs.len() > 2 || b.limbs.len() > 2 {
             match a.cmp(&b) {
-                Ordering::Equal => break,
+                Ordering::Equal => return a.shl_bits(common),
                 Ordering::Less => std::mem::swap(&mut a, &mut b),
                 Ordering::Greater => {}
             }
-            a = a.sub_ref(&b);
+            a.sub_assign_in_place(&b);
             // a is now even and nonzero.
             let z = a.trailing_zeros().unwrap();
-            a = a.shr_bits(z);
+            a.shr_assign_bits(z);
         }
-        a.shl_bits(common)
+        let g = gcd_u128(a.to_u128().unwrap(), b.to_u128().unwrap());
+        BigUint::from(g).shl_bits(common)
     }
 
     /// `self ^ exp` by repeated squaring.
@@ -373,6 +417,44 @@ impl BigUint {
         Some(acc)
     }
 }
+
+/// Binary GCD of machine words, for one unsigned type.
+macro_rules! binary_gcd {
+    ($(#[$doc:meta])* $name:ident, $t:ty) => {
+        $(#[$doc])*
+        pub(crate) fn $name(mut a: $t, mut b: $t) -> $t {
+            if a == 0 {
+                return b;
+            }
+            if b == 0 {
+                return a;
+            }
+            let common = (a | b).trailing_zeros();
+            a >>= a.trailing_zeros();
+            loop {
+                // Invariant: a odd.
+                b >>= b.trailing_zeros();
+                if a > b {
+                    std::mem::swap(&mut a, &mut b);
+                }
+                b -= a;
+                if b == 0 {
+                    return a << common;
+                }
+            }
+        }
+    };
+}
+binary_gcd!(
+    /// `gcd(a, b)` of two `u64`s (`gcd(0, b) == b`).
+    gcd_u64,
+    u64
+);
+binary_gcd!(
+    /// `gcd(a, b)` of two `u128`s (`gcd(0, b) == b`).
+    gcd_u128,
+    u128
+);
 
 impl From<u64> for BigUint {
     fn from(v: u64) -> Self {

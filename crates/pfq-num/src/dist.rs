@@ -5,6 +5,7 @@
 //! kernel yields a `Distribution<Database>`, and so on. Supports are kept
 //! in a `BTreeMap` so equal outcomes merge and iteration is deterministic.
 
+use crate::biguint::gcd_u64;
 use crate::Ratio;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -164,6 +165,9 @@ impl<T: Ord> Distribution<T> {
 /// `2⁻⁶⁴`. Panics if `weights` is empty or any weight is non-positive.
 pub fn pick_weighted_index(weights: &[Ratio], draw: u64) -> usize {
     assert!(!weights.is_empty(), "cannot pick from no weights");
+    if let Some(i) = pick_small_weighted_index(weights, draw) {
+        return i;
+    }
     let total: Ratio = weights.iter().sum();
     assert!(total.is_positive(), "weights must be positive");
     let u = Ratio::from_parts(
@@ -180,6 +184,40 @@ pub fn pick_weighted_index(weights: &[Ratio], draw: u64) -> usize {
         }
     }
     weights.len() - 1 // 2⁻⁶⁴ edge case: draw = 2⁶⁴ − 1 rounding
+}
+
+/// [`pick_weighted_index`] in native integers, when every weight is a
+/// positive small [`Ratio`] and the weights scaled to their least common
+/// denominator `L` sum to a `u64` total `T`; `None` otherwise.
+///
+/// With `Aᵢ` the scaled running sum, `draw/2⁶⁴ · T/L < Aᵢ/L` is the same
+/// inequality as `draw·T < Aᵢ·2⁶⁴`, which is exact in `u128`, so the pick
+/// is the one the rational comparison makes.
+fn pick_small_weighted_index(weights: &[Ratio], draw: u64) -> Option<usize> {
+    let mut lcm = 1u64;
+    for w in weights {
+        match w.small_parts()? {
+            (num, den) if num > 0 => lcm = (lcm / gcd_u64(lcm, den)).checked_mul(den)?,
+            _ => return None,
+        }
+    }
+    let scaled = |w: &Ratio| {
+        let (num, den) = w.small_parts()?;
+        (num as u64).checked_mul(lcm / den)
+    };
+    let mut total = 0u64;
+    for w in weights {
+        total = total.checked_add(scaled(w)?)?;
+    }
+    let target = u128::from(draw) * u128::from(total);
+    let mut acc = 0u64;
+    for (i, w) in weights.iter().enumerate() {
+        acc += scaled(w)?;
+        if target < u128::from(acc) << 64 {
+            return Some(i);
+        }
+    }
+    Some(weights.len() - 1)
 }
 
 impl<T: Ord> Default for Distribution<T> {
@@ -292,6 +330,65 @@ mod tests {
         let w2 = vec![Ratio::from_integer(1), Ratio::from_integer(3)];
         assert_eq!(pick_weighted_index(&w2, 1 << 61), 0);
         assert_eq!(pick_weighted_index(&w2, 1 << 63), 1);
+    }
+
+    /// The rational comparison [`pick_weighted_index`] is defined by.
+    fn pick_by_rationals(weights: &[Ratio], draw: u64) -> usize {
+        let u = Ratio::from_parts(
+            crate::BigInt::from(draw),
+            crate::BigUint::one().shl_bits(64),
+        );
+        let target = u.mul_ref(&weights.iter().sum());
+        let mut acc = Ratio::zero();
+        for (i, w) in weights.iter().enumerate() {
+            acc = acc.add_ref(w);
+            if target < acc {
+                return i;
+            }
+        }
+        weights.len() - 1
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_small_pick_matches_rationals(
+            parts in proptest::collection::vec((1i64..1000, 1i64..50), 1..8),
+            big_num in proptest::sample::select(vec![1i64, 1 << 40, i64::MAX]),
+            draw in proptest::prelude::any::<u64>(),
+        ) {
+            let mut weights: Vec<Ratio> = parts.iter().map(|&(n, d)| Ratio::new(n, d)).collect();
+            proptest::prop_assert_eq!(
+                pick_weighted_index(&weights, draw),
+                pick_by_rationals(&weights, draw)
+            );
+            // A weight whose scaled total overflows u64 takes the rational path.
+            weights.push(Ratio::new(big_num, 7));
+            proptest::prop_assert_eq!(
+                pick_weighted_index(&weights, draw),
+                pick_by_rationals(&weights, draw)
+            );
+        }
+    }
+
+    #[test]
+    fn small_pick_boundaries_are_exact() {
+        // Draws on either side of each cumulative boundary draw·T = Aᵢ·2⁶⁴.
+        let weights = vec![Ratio::new(1, 3), Ratio::new(1, 6), Ratio::new(1, 2)];
+        for draw in [
+            0,
+            (1u64 << 63) / 3 * 2,
+            u64::MAX / 3,
+            u64::MAX / 3 + 1,
+            1 << 63,
+            (1 << 63) - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(
+                pick_weighted_index(&weights, draw),
+                pick_by_rationals(&weights, draw),
+                "draw {draw}"
+            );
+        }
     }
 
     #[test]

@@ -4,14 +4,33 @@
 //! strictly positive, the fraction is fully reduced, and zero is `0/1`.
 //! Canonical form makes `Eq`/`Hash` structural and `Ord` a true total
 //! order, so rationals can key `BTreeMap`s of possible worlds.
+//!
+//! # Two representations
+//!
+//! A reduced fraction `num/den` with `|num| ≤ i64::MAX` and
+//! `den ≤ u64::MAX` is stored inline as a machine-word pair (*small*);
+//! every other value is a boxed [`BigInt`]/[`BigUint`] pair (*big*). The
+//! rule is exact in both directions: every constructor and every
+//! arithmetic result is demoted to the small form when it fits, so the
+//! representation is itself canonical. Operations on two small values
+//! run in native `u64`/`i128`/`u128` arithmetic and never allocate; when
+//! an intermediate overflows, or either operand is big, the operation
+//! runs on the big-integer code, which is the only big path.
 
+use crate::biguint::{gcd_u128, gcd_u64};
 use crate::{BigInt, BigUint, Sign};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// An exact rational number `num/den` in canonical (reduced) form.
+///
+/// Values whose reduced numerator magnitude fits `i64::MAX` and whose
+/// denominator fits a `u64` are stored inline, with no allocation;
+/// larger values promote to big integers and demote again as soon as a
+/// result fits (see the [module docs](self)).
 ///
 /// ```
 /// use pfq_num::Ratio;
@@ -21,94 +40,165 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// assert_eq!(Ratio::new(2, 3).to_decimal(5), "0.66667");
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Ratio {
+pub struct Ratio(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Invariant: `num != i64::MIN`, `den ≥ 1`, `gcd(|num|, den) == 1`;
+    /// zero is `0/1`.
+    Small { num: i64, den: u64 },
+    /// Invariant: reduced, and `|num| > i64::MAX` or `den > u64::MAX`.
+    Big(Box<BigRatio>),
+}
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct BigRatio {
     num: BigInt,
-    den: BigUint, // invariant: > 0 and gcd(|num|, den) == 1; zero is 0/1
+    den: BigUint,
 }
 
 impl Ratio {
     /// The value 0.
     pub fn zero() -> Self {
-        Ratio {
-            num: BigInt::zero(),
-            den: BigUint::one(),
-        }
+        Ratio(Repr::Small { num: 0, den: 1 })
     }
 
     /// The value 1.
     pub fn one() -> Self {
-        Ratio {
-            num: BigInt::one(),
-            den: BigUint::one(),
-        }
+        Ratio(Repr::Small { num: 1, den: 1 })
     }
 
     /// Builds `num/den` from machine integers; panics if `den == 0`.
     pub fn new(num: i64, den: i64) -> Self {
         assert!(den != 0, "zero denominator");
-        let sign_flip = den < 0;
-        let num = if sign_flip {
-            BigInt::from(num).neg_ref()
-        } else {
-            BigInt::from(num)
-        };
-        Ratio::from_parts(num, BigUint::from(den.unsigned_abs()))
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd_u64(n, d);
+        Ratio::from_reduced((num < 0) != (den < 0), (n / g).into(), (d / g).into())
     }
 
     /// Builds `num/den` from big integers, normalizing; panics if `den == 0`.
     pub fn from_parts(num: BigInt, den: BigUint) -> Self {
         assert!(!den.is_zero(), "zero denominator");
+        if let (Some(n), Some(d)) = (num.magnitude().to_u128(), den.to_u128()) {
+            let g = gcd_u128(n, d);
+            return Ratio::from_reduced(num.is_negative(), n / g, d / g);
+        }
         if num.is_zero() {
             return Ratio::zero();
         }
         let g = num.magnitude().gcd(&den);
         if g.is_one() {
-            return Ratio { num, den };
+            return Ratio::from_big_reduced(num, den);
         }
         let (nm, _) = num.magnitude().div_rem(&g);
         let (nd, _) = den.div_rem(&g);
-        Ratio {
-            num: BigInt::from_sign_mag(num.sign(), nm),
-            den: nd,
-        }
+        Ratio::from_big_reduced(BigInt::from_sign_mag(num.sign(), nm), nd)
     }
 
     /// The integer `v` as a rational.
     pub fn from_integer(v: i64) -> Self {
-        Ratio {
-            num: BigInt::from(v),
-            den: BigUint::one(),
+        Ratio::from_reduced(v < 0, v.unsigned_abs().into(), 1)
+    }
+
+    /// The canonical value `±num/den` of a fraction already in lowest
+    /// terms.
+    fn from_reduced(negative: bool, num: u128, den: u128) -> Ratio {
+        if num == 0 {
+            return Ratio::zero();
+        }
+        Ratio::try_small(negative, num, den).unwrap_or_else(|| {
+            let sign = if negative {
+                Sign::Negative
+            } else {
+                Sign::Positive
+            };
+            Ratio(Repr::Big(Box::new(BigRatio {
+                num: BigInt::from_sign_mag(sign, BigUint::from(num)),
+                den: BigUint::from(den),
+            })))
+        })
+    }
+
+    /// The canonical value of a big fraction already in lowest terms:
+    /// demoted to the small form when it fits.
+    fn from_big_reduced(num: BigInt, den: BigUint) -> Ratio {
+        let small = match (num.magnitude().to_u128(), den.to_u128()) {
+            (Some(n), Some(d)) => Ratio::try_small(num.is_negative(), n, d),
+            _ => None,
+        };
+        small.unwrap_or_else(|| Ratio(Repr::Big(Box::new(BigRatio { num, den }))))
+    }
+
+    /// The small form of the reduced `±num/den`, or `None` when
+    /// `num > i64::MAX` or `den > u64::MAX`: the one place the promotion
+    /// rule is decided.
+    fn try_small(negative: bool, num: u128, den: u128) -> Option<Ratio> {
+        let (num, den) = (i64::try_from(num).ok()?, u64::try_from(den).ok()?);
+        Some(Ratio(Repr::Small {
+            num: if negative { -num } else { num },
+            den,
+        }))
+    }
+
+    /// The value as a big-integer pair, borrowed when it already is one.
+    fn big(&self) -> Cow<'_, BigRatio> {
+        match &self.0 {
+            Repr::Small { num, den } => Cow::Owned(BigRatio {
+                num: BigInt::from(*num),
+                den: BigUint::from(*den),
+            }),
+            Repr::Big(b) => Cow::Borrowed(b),
+        }
+    }
+
+    /// `(numerator, denominator)` when the value has the small form.
+    pub(crate) fn small_parts(&self) -> Option<(i64, u64)> {
+        match self.0 {
+            Repr::Small { num, den } => Some((num, den)),
+            Repr::Big(_) => None,
         }
     }
 
     /// Numerator (signed, reduced).
-    pub fn numer(&self) -> &BigInt {
-        &self.num
+    pub fn numer(&self) -> BigInt {
+        match &self.0 {
+            Repr::Small { num, .. } => BigInt::from(*num),
+            Repr::Big(b) => b.num.clone(),
+        }
     }
 
     /// Denominator (positive, reduced).
-    pub fn denom(&self) -> &BigUint {
-        &self.den
+    pub fn denom(&self) -> BigUint {
+        match &self.0 {
+            Repr::Small { den, .. } => BigUint::from(*den),
+            Repr::Big(b) => b.den.clone(),
+        }
     }
 
     /// Whether the value is 0.
     pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
+        matches!(self.0, Repr::Small { num: 0, .. })
     }
 
     /// Whether the value is 1.
     pub fn is_one(&self) -> bool {
-        self.num.is_positive() && self.num.magnitude().is_one() && self.den.is_one()
+        matches!(self.0, Repr::Small { num: 1, den: 1 })
     }
 
     /// Whether the value is strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.num.is_positive()
+        match &self.0 {
+            Repr::Small { num, .. } => *num > 0,
+            Repr::Big(b) => b.num.is_positive(),
+        }
     }
 
     /// Whether the value is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.num.is_negative()
+        match &self.0 {
+            Repr::Small { num, .. } => *num < 0,
+            Repr::Big(b) => b.num.is_negative(),
+        }
     }
 
     /// Whether the value lies in the closed interval `[0, 1]` — i.e. is a
@@ -119,12 +209,20 @@ impl Ratio {
 
     /// `self + other`.
     pub fn add_ref(&self, other: &Ratio) -> Ratio {
+        if let (&Repr::Small { num: a, den: b }, &Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            if let Some(sum) = add_small(a, b, c, d) {
+                return sum;
+            }
+        }
+        let (x, y) = (self.big(), other.big());
         // a/b + c/d = (a*d + c*b) / (b*d)
-        let num = self
+        let num = x
             .num
-            .mul_ref(&BigInt::from(other.den.clone()))
-            .add_ref(&other.num.mul_ref(&BigInt::from(self.den.clone())));
-        Ratio::from_parts(num, self.den.mul_ref(&other.den))
+            .mul_ref(&BigInt::from(y.den.clone()))
+            .add_ref(&y.num.mul_ref(&BigInt::from(x.den.clone())));
+        Ratio::from_parts(num, x.den.mul_ref(&y.den))
     }
 
     /// `self - other`.
@@ -134,54 +232,83 @@ impl Ratio {
 
     /// `self * other`.
     pub fn mul_ref(&self, other: &Ratio) -> Ratio {
+        if let (&Repr::Small { num: a, den: b }, &Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            return mul_small((a < 0) != (c < 0), a.unsigned_abs(), b, c.unsigned_abs(), d);
+        }
         if self.is_zero() || other.is_zero() {
             return Ratio::zero();
         }
+        let (x, y) = (self.big(), other.big());
         // Cross-reduce before multiplying to keep intermediates small.
-        let g1 = self.num.magnitude().gcd(&other.den);
-        let g2 = other.num.magnitude().gcd(&self.den);
-        let (n1, _) = self.num.magnitude().div_rem(&g1);
-        let (d2, _) = other.den.div_rem(&g1);
-        let (n2, _) = other.num.magnitude().div_rem(&g2);
-        let (d1, _) = self.den.div_rem(&g2);
-        let sign = if self.num.sign() == other.num.sign() {
+        let g1 = x.num.magnitude().gcd(&y.den);
+        let g2 = y.num.magnitude().gcd(&x.den);
+        let (n1, _) = x.num.magnitude().div_rem(&g1);
+        let (d2, _) = y.den.div_rem(&g1);
+        let (n2, _) = y.num.magnitude().div_rem(&g2);
+        let (d1, _) = x.den.div_rem(&g2);
+        let sign = if x.num.sign() == y.num.sign() {
             Sign::Positive
         } else {
             Sign::Negative
         };
-        Ratio {
-            num: BigInt::from_sign_mag(sign, n1.mul_ref(&n2)),
-            den: d1.mul_ref(&d2),
-        }
+        Ratio::from_big_reduced(
+            BigInt::from_sign_mag(sign, n1.mul_ref(&n2)),
+            d1.mul_ref(&d2),
+        )
     }
 
     /// `self / other`; panics if `other == 0`.
     pub fn div_ref(&self, other: &Ratio) -> Ratio {
+        if let (&Repr::Small { num: a, den: b }, &Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            assert!(c != 0, "division by zero");
+            return mul_small((a < 0) != (c < 0), a.unsigned_abs(), b, d, c.unsigned_abs());
+        }
         self.mul_ref(&other.recip())
     }
 
     /// Multiplicative inverse; panics on 0.
     pub fn recip(&self) -> Ratio {
         assert!(!self.is_zero(), "division by zero");
-        Ratio {
-            num: BigInt::from_sign_mag(self.num.sign(), self.den.clone()),
-            den: self.num.magnitude().clone(),
+        match &self.0 {
+            Repr::Small { num, den } => {
+                Ratio::from_reduced(*num < 0, (*den).into(), num.unsigned_abs().into())
+            }
+            Repr::Big(b) => Ratio::from_big_reduced(
+                BigInt::from_sign_mag(b.num.sign(), b.den.clone()),
+                b.num.magnitude().clone(),
+            ),
         }
     }
 
     /// Negation.
     pub fn neg_ref(&self) -> Ratio {
-        Ratio {
-            num: self.num.neg_ref(),
-            den: self.den.clone(),
+        match &self.0 {
+            Repr::Small { num, den } => Ratio(Repr::Small {
+                num: -num,
+                den: *den,
+            }),
+            Repr::Big(b) => Ratio(Repr::Big(Box::new(BigRatio {
+                num: b.num.neg_ref(),
+                den: b.den.clone(),
+            }))),
         }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> Ratio {
-        Ratio {
-            num: self.num.abs(),
-            den: self.den.clone(),
+        match &self.0 {
+            Repr::Small { num, den } => Ratio(Repr::Small {
+                num: num.abs(),
+                den: *den,
+            }),
+            Repr::Big(b) => Ratio(Repr::Big(Box::new(BigRatio {
+                num: b.num.abs(),
+                den: b.den.clone(),
+            }))),
         }
     }
 
@@ -195,42 +322,51 @@ impl Ratio {
         if exp == 0 {
             return Ratio::one();
         }
-        Ratio {
-            num: BigInt::from_sign_mag(
-                if self.num.is_negative() && exp % 2 == 1 {
-                    Sign::Negative
-                } else if self.is_zero() {
-                    Sign::Zero
-                } else {
-                    Sign::Positive
-                },
-                self.num.magnitude().pow(exp),
-            ),
-            den: self.den.pow(exp),
-        }
+        let x = self.big();
+        let sign = if self.is_negative() && exp % 2 == 1 {
+            Sign::Negative
+        } else {
+            Sign::Positive
+        };
+        Ratio::from_big_reduced(
+            BigInt::from_sign_mag(sign, x.num.magnitude().pow(exp)),
+            x.den.pow(exp),
+        )
     }
 
     /// Lossy conversion to `f64`, robust to huge numerators/denominators.
+    ///
+    /// The quotient is taken to about 64 significant bits, rounded to
+    /// `f64` and scaled by a power of two; results below `2⁻¹⁰²²` round
+    /// to the nearest subnormal instead of flushing to zero.
     pub fn to_f64(&self) -> f64 {
         if self.is_zero() {
             return 0.0;
         }
-        let nb = self.num.magnitude().bits() as i64;
-        let db = self.den.bits() as i64;
-        // Shift so the integer quotient carries ~64 significant bits.
-        let shift = 64 + db - nb;
-        let (q, _) = if shift >= 0 {
-            self.num
-                .magnitude()
-                .shl_bits(shift as u64)
-                .div_rem(&self.den)
-        } else {
-            self.num
-                .magnitude()
-                .div_rem(&self.den.shl_bits((-shift) as u64))
+        let (q, shift) = match &self.0 {
+            Repr::Small { num, den } => {
+                // The big path below in native width: |num| shifted left
+                // by `shift` has 64 + bits(den) ≤ 128 bits.
+                let (n, d) = (num.unsigned_abs(), *den);
+                let shift = 64 + n.leading_zeros() - d.leading_zeros();
+                let q = (u128::from(n) << shift) / u128::from(d);
+                (q as f64, i64::from(shift))
+            }
+            Repr::Big(b) => {
+                let nb = b.num.magnitude().bits() as i64;
+                let db = b.den.bits() as i64;
+                // Shift so the integer quotient carries ~64 significant bits.
+                let shift = 64 + db - nb;
+                let (q, _) = if shift >= 0 {
+                    b.num.magnitude().shl_bits(shift as u64).div_rem(&b.den)
+                } else {
+                    b.num.magnitude().div_rem(&b.den.shl_bits((-shift) as u64))
+                };
+                (q.to_f64(), shift)
+            }
         };
-        let v = q.to_f64() * 2f64.powi(-shift as i32);
-        if self.num.is_negative() {
+        let v = scale_by_pow2(q, shift);
+        if self.is_negative() {
             -v
         } else {
             v
@@ -240,12 +376,13 @@ impl Ratio {
     /// Exact decimal rendering with `digits` fractional digits, rounded
     /// half-away-from-zero: `Ratio::new(1, 3).to_decimal(4) == "0.3333"`.
     pub fn to_decimal(&self, digits: usize) -> String {
+        let x = self.big();
         let scale = BigUint::from(10u64).pow(digits as u64);
         // round(|num| · 10^d / den)
-        let scaled = self.num.magnitude().mul_ref(&scale);
-        let (q, r) = scaled.div_rem(&self.den);
+        let scaled = x.num.magnitude().mul_ref(&scale);
+        let (q, r) = scaled.div_rem(&x.den);
         let twice_r = r.shl_bits(1);
-        let q = if twice_r >= self.den {
+        let q = if twice_r >= x.den {
             q.add_ref(&BigUint::one())
         } else {
             q
@@ -317,6 +454,54 @@ impl Ratio {
     }
 }
 
+/// `a/b + c/d` for two small values, by Knuth's `gcd(b, d)` form (TAOCP
+/// vol. 2, §4.5.1) so the result comes out reduced; `None` when the
+/// numerator overflows `i128`.
+fn add_small(a: i64, b: u64, c: i64, d: u64) -> Option<Ratio> {
+    let g = gcd_u64(b, d);
+    if g == 1 {
+        let num = (a as i128 * d as i128).checked_add(c as i128 * b as i128)?;
+        return Some(Ratio::from_reduced(
+            num < 0,
+            num.unsigned_abs(),
+            b as u128 * d as u128,
+        ));
+    }
+    let (b1, d1) = (b / g, d / g);
+    let t = (a as i128 * d1 as i128).checked_add(c as i128 * b1 as i128)?;
+    let g2 = gcd_u64((t.unsigned_abs() % g as u128) as u64, g);
+    Some(Ratio::from_reduced(
+        t < 0,
+        t.unsigned_abs() / g2 as u128,
+        b1 as u128 * (d / g2) as u128,
+    ))
+}
+
+/// `±(n1/d1)·(n2/d2)` for reduced fractions with `u64` parts, cross-reduced
+/// so the `u128` product is already in lowest terms.
+fn mul_small(negative: bool, n1: u64, d1: u64, n2: u64, d2: u64) -> Ratio {
+    let (g1, g2) = (gcd_u64(n1, d2), gcd_u64(n2, d1));
+    Ratio::from_reduced(
+        negative,
+        (n1 / g1) as u128 * (n2 / g2) as u128,
+        (d1 / g2) as u128 * (d2 / g1) as u128,
+    )
+}
+
+/// `q · 2^-shift` for `q ≥ 2⁶³`, in two steps of at most `2¹⁰²²` each:
+/// the first is exact, so the result is rounded once even when it is
+/// subnormal. Results of `shift > 2044` are below half the least
+/// subnormal and round to 0.
+fn scale_by_pow2(q: f64, shift: i64) -> f64 {
+    if shift > 2044 {
+        return 0.0;
+    }
+    // Below −2046 both factors overflow, as the true value does.
+    let shift = shift.max(-2048) as i32;
+    let half = shift / 2;
+    q * 2f64.powi(-half) * 2f64.powi(half - shift)
+}
+
 impl Default for Ratio {
     fn default() -> Self {
         Ratio::zero()
@@ -331,10 +516,17 @@ impl From<i64> for Ratio {
 
 impl Ord for Ratio {
     fn cmp(&self, other: &Self) -> Ordering {
-        // a/b ? c/d  ⇔  a*d ? c*b  (b, d > 0)
-        self.num
-            .mul_ref(&BigInt::from(other.den.clone()))
-            .cmp(&other.num.mul_ref(&BigInt::from(self.den.clone())))
+        // a/b ? c/d  ⇔  a*d ? c*b  (b, d > 0); exact in i128 for small
+        // values, since |a*d| < 2⁶³·2⁶⁴.
+        if let (&Repr::Small { num: a, den: b }, &Repr::Small { num: c, den: d }) =
+            (&self.0, &other.0)
+        {
+            return (a as i128 * d as i128).cmp(&(c as i128 * b as i128));
+        }
+        let (x, y) = (self.big(), other.big());
+        x.num
+            .mul_ref(&BigInt::from(y.den.clone()))
+            .cmp(&y.num.mul_ref(&BigInt::from(x.den.clone())))
     }
 }
 
@@ -413,10 +605,11 @@ impl<'a> Sum<&'a Ratio> for Ratio {
 
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den.is_one() {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
+        match &self.0 {
+            Repr::Small { num, den: 1 } => write!(f, "{num}"),
+            Repr::Small { num, den } => write!(f, "{num}/{den}"),
+            Repr::Big(b) if b.den.is_one() => write!(f, "{}", b.num),
+            Repr::Big(b) => write!(f, "{}/{}", b.num, b.den),
         }
     }
 }
@@ -442,8 +635,8 @@ mod tests {
         assert_eq!(r(-2, 4), r(1, -2));
         assert_eq!(r(0, 7), Ratio::zero());
         assert_eq!(r(6, 3), Ratio::from_integer(2));
-        assert_eq!(r(2, 4).numer(), &BigInt::from(1i64));
-        assert_eq!(r(2, 4).denom(), &BigUint::from(2u64));
+        assert_eq!(r(2, 4).numer(), BigInt::from(1i64));
+        assert_eq!(r(2, 4).denom(), BigUint::from(2u64));
     }
 
     #[test]
